@@ -73,6 +73,11 @@ class DnsCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    @property
+    def max_entries(self) -> int:
+        """The LRU bound on live entries."""
+        return self._max_entries
+
     @staticmethod
     def _key(qname: str, qtype: int) -> tuple[str, int]:
         return normalize_name(qname), int(qtype)

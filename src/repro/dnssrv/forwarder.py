@@ -23,6 +23,7 @@ import dataclasses
 from repro.dnslib.constants import Rcode
 from repro.dnslib.message import DnsMessage, make_response
 from repro.dnslib.wire import DnsWireError, decode_message, encode_message
+from repro.dnssrv.txid import allocate_txid
 from repro.netsim.packet import Datagram
 from repro.policy.engine import PolicyAction, PolicyEngine
 from repro.transport.base import Transport
@@ -130,14 +131,12 @@ class ForwardingResolver:
         probe forward (counting collisions) and drop the query outright
         when every id is busy.
         """
-        if len(self._outstanding) >= 0xFFFF:
+        msg_id, self._next_id, collisions = allocate_txid(
+            self._outstanding, self._next_id
+        )
+        self.txid_collisions += collisions
+        if msg_id is None:
             self.txid_exhausted += 1
-            return None
-        msg_id = self._next_id
-        while msg_id in self._outstanding:
-            self.txid_collisions += 1
-            msg_id = msg_id % 0xFFFF + 1
-        self._next_id = msg_id % 0xFFFF + 1
         return msg_id
 
     def handle_client(self, datagram: Datagram, network: Transport) -> None:

@@ -16,10 +16,12 @@ from __future__ import annotations
 import dataclasses
 
 from repro.dnslib.chaos import is_version_bind_query, version_bind_response
-from repro.dnslib.constants import QueryType, Rcode
+from repro.dnslib.constants import DnsClass, QueryType, Rcode
+from repro.dnslib.fastwire import FastQuery, parse_simple_query
 from repro.dnslib.message import DnsMessage, make_query, make_response
 from repro.dnslib.wire import DnsWireError, decode_message, encode_message
 from repro.dnssrv.cache import DnsCache
+from repro.dnssrv.txid import allocate_txid
 from repro.netsim.packet import Datagram
 from repro.policy.engine import PolicyAction
 from repro.transport.base import CancelHandle, Transport
@@ -76,6 +78,18 @@ class ResolverStats:
     load_shed: int = 0
     glueless_launched: int = 0
     glueless_capped: int = 0
+    #: Upstream txid allocation: in-flight ids skipped, and resolutions
+    #: failed because all 65,535 ids were busy.
+    txid_collisions: int = 0
+    txid_exhausted: int = 0
+
+
+def _with_id(fast: FastQuery, payload: bytes) -> FastQuery:
+    """``fast`` carrying ``payload``'s id; the bytes after it are equal."""
+    return FastQuery(
+        payload[0] << 8 | payload[1], fast.flags_word, fast.qname,
+        fast.qtype, fast.qclass, fast.question_wire,
+    )
 
 
 class RecursiveResolver:
@@ -170,6 +184,10 @@ class RecursiveResolver:
         self._pending: dict[int, _Pending] = {}
         self._negative: dict[tuple[str, int], tuple[float, int]] = {}
         self._next_id = 1
+        #: Cache-hit reply memo: query bytes after the id -> (their
+        #: parse, the rrset the reply was encoded from, the reply bytes
+        #: after the id).
+        self._hit_memo: dict[bytes, tuple[FastQuery, list, bytes]] = {}
 
     # -- wiring ------------------------------------------------------------
 
@@ -197,6 +215,18 @@ class RecursiveResolver:
     # -- client side ---------------------------------------------------------
 
     def handle_client(self, datagram: Datagram, network: Transport) -> None:
+        if self.policy is None:
+            payload = datagram.payload
+            memo = self._hit_memo.get(payload[2:])
+            if memo is not None:
+                # The parser's verdict ignores the id, and these bytes
+                # after it were accepted when the entry was made.
+                fast = _with_id(memo[0], payload)
+            else:
+                fast = parse_simple_query(payload)
+            if fast is not None and fast.qclass == DnsClass.IN:
+                self._handle_simple(datagram, network, fast, memo)
+                return
         try:
             query = decode_message(datagram.payload)
         except DnsWireError:
@@ -237,10 +267,7 @@ class RecursiveResolver:
                 return
             if decision.action is PolicyAction.ROUTE:
                 route_servers = [decision.target]
-        if self.query_quota is not None and not self.query_quota.allow(
-            datagram.src_ip, network.now
-        ):
-            self.stats.quota_refused += 1
+        if self._over_quota(datagram, network):
             self._reply(
                 datagram, make_response(query, rcode=Rcode.REFUSED, ra=True)
             )
@@ -248,10 +275,86 @@ class RecursiveResolver:
         question = query.questions[0]
         cached = self.cache.get(question.qname, question.qtype, network.now)
         if cached is not None:
+            self._answer_cached(datagram, query, cached)
+            return
+        self._recurse(datagram, network, query, route_servers)
+
+    def _handle_simple(
+        self,
+        datagram: Datagram,
+        network: Transport,
+        fast: FastQuery,
+        memo: tuple[FastQuery, list, bytes] | None,
+    ) -> None:
+        """Serve a strictly parsed IN query when no policy is configured.
+
+        Same steps in the same order as :meth:`handle_client`, but a
+        cache hit whose reply is memoised goes out as the query's id
+        followed by the memoised reply tail: no decode, no
+        ``make_response``, no encode. Everything else continues from
+        ``fast.to_message()``, which is exactly the decoded query.
+        """
+        self.stats.client_queries += 1
+        if self._over_quota(datagram, network):
+            self._reply(
+                datagram,
+                make_response(fast.to_message(), rcode=Rcode.REFUSED, ra=True),
+            )
+            return
+        cached = self.cache.get(fast.qname, fast.qtype, network.now)
+        if cached is None:
+            self._recurse(datagram, network, fast.to_message(), None)
+            return
+        payload = datagram.payload
+        if memo is not None and memo[1] == cached:
             self.stats.cache_answers += 1
             self.stats.answered += 1
-            self._reply(datagram, make_response(query, answers=cached, ra=True))
+            if self._rrl_allows(datagram, network):
+                network.send(datagram.reply(payload[:2] + memo[2]))
             return
+        wire = self._answer_cached(datagram, fast.to_message(), cached)
+        if wire is not None:
+            self._remember_hit(payload[2:], fast, cached, wire[2:])
+
+    def _remember_hit(
+        self, key: bytes, fast: FastQuery, rrset: list, tail: bytes
+    ) -> None:
+        """Memoise one encoded cache-hit reply, FIFO-bounded like the cache.
+
+        A reply is a pure function of the query bytes after the id and
+        the rrset it answers with, so an entry stays exact for as long
+        as :meth:`DnsCache.get` returns an equal rrset.
+        """
+        memo = self._hit_memo
+        if key not in memo and len(memo) >= self.cache.max_entries:
+            del memo[next(iter(memo))]
+        memo[key] = (fast, rrset, tail)
+
+    def _over_quota(self, datagram: Datagram, network: Transport) -> bool:
+        if self.query_quota is None or self.query_quota.allow(
+            datagram.src_ip, network.now
+        ):
+            return False
+        self.stats.quota_refused += 1
+        return True
+
+    def _answer_cached(
+        self, datagram: Datagram, query: DnsMessage, cached: list
+    ) -> bytes | None:
+        self.stats.cache_answers += 1
+        self.stats.answered += 1
+        return self._reply(datagram, make_response(query, answers=cached, ra=True))
+
+    def _recurse(
+        self,
+        datagram: Datagram,
+        network: Transport,
+        query: DnsMessage,
+        route_servers: list[str] | None,
+    ) -> None:
+        """A positive-cache miss: negative cache, load shedding, then
+        start walking the hierarchy."""
+        question = query.questions[0]
         if self.negative_ttl > 0.0:
             entry = self._negative.get((question.qname, int(question.qtype)))
             if entry is not None:
@@ -290,11 +393,17 @@ class RecursiveResolver:
 
     def _send_upstream(self, pending: _Pending) -> None:
         network = self._require_network()
-        msg_id = self._next_id
-        self._next_id = self._next_id % 0xFFFF + 1
-        self._pending[msg_id] = pending
         if pending.timeout_event is not None:
             pending.timeout_event.cancel()
+        msg_id, self._next_id, collisions = allocate_txid(
+            self._pending, self._next_id
+        )
+        self.stats.txid_collisions += collisions
+        if msg_id is None:
+            self.stats.txid_exhausted += 1
+            self._finish_error(pending, Rcode.SERVFAIL)
+            return
+        self._pending[msg_id] = pending
         pending.timeout_event = network.schedule(
             self.timeout, lambda: self._on_timeout(msg_id)
         )
@@ -509,15 +618,24 @@ class RecursiveResolver:
             network.now + self.negative_ttl, rcode,
         )
 
-    def _reply(self, client: Datagram, response: DnsMessage) -> None:
+    def _reply(self, client: Datagram, response: DnsMessage) -> bytes | None:
+        """Rewrite (policy), rate-limit (RRL), encode and send a response.
+
+        Returns the bytes sent, or None when RRL suppressed the reply.
+        """
         network = self._require_network()
         if self.policy is not None:
             response = self.policy.rewrite_response(response)
-        if self.rate_limiter is not None and not self.rate_limiter.allow(
+        if not self._rrl_allows(client, network):
+            return None
+        wire = encode_message(response)
+        network.send(client.reply(wire))
+        return wire
+
+    def _rrl_allows(self, client: Datagram, network: Transport) -> bool:
+        return self.rate_limiter is None or self.rate_limiter.allow(
             client.src_ip, network.now
-        ):
-            return  # RRL: response suppressed
-        network.send(client.reply(encode_message(response)))
+        )
 
     def _trace(self, pending: _Pending, server_ip: str, disposition: str) -> None:
         if pending.trace is not None:

@@ -263,6 +263,8 @@ class ServingWorld:
             ("load_shed", "defense.load_shed"),
             ("glueless_launched", "defense.glueless_launched"),
             ("glueless_capped", "defense.glueless_capped"),
+            ("txid_collisions", "txid_collisions"),
+            ("txid_exhausted", "txid_exhausted"),
         ):
             registry.counter(f"{prefix}.{target}").inc(
                 getattr(stats, source)
@@ -298,6 +300,9 @@ def build_world(
         auth.load_zone(build_validation_zone(sld))
     else:
         auth = AuthoritativeServer(AUTH_IP)
+    # Nothing in serve reads the per-query log; kept on, it grows by one
+    # entry per cache miss for the daemon's whole life.
+    auth.retain_query_log = False
     auth.load_zone(build_serve_zone(sld))
     root.attach(transport, infra_port)
     tld.attach(transport, infra_port)

@@ -8,12 +8,16 @@ import pytest
 from repro.dnslib.constants import Rcode
 from repro.dnslib.fastwire import build_query_wire
 from repro.dnslib.wire import decode_message
+from repro.netsim.packet import Datagram
+from repro.telemetry.hub import TelemetryHub
 from repro.transport.serve import (
     DEFAULT_SLD,
     DnsService,
     ServeConfig,
     build_serve_zone,
+    build_world,
 )
+from repro.transport.sim import SimTransport
 
 
 def make_client(timeout=2.0):
@@ -191,3 +195,29 @@ class TestDefenseKnobs:
         # First miss walks the hierarchy; the two repeats answer from
         # the negative cache without touching the auth server.
         assert counters["serve.defense.negative_hits"] == 2
+
+
+class TestSimWorld:
+    def test_misses_leave_no_auth_query_log(self):
+        transport = SimTransport()
+        world = build_world(ServeConfig(port=5300), transport, infra_port=53)
+        transport.bind("8.8.4.100", 5555, lambda dg, net: None)
+        names = [f"miss{i}.{DEFAULT_SLD}" for i in range(25)]
+        for msg_id, name in enumerate(names):
+            transport.send(Datagram(
+                "8.8.4.100", 5555, world.endpoint.ip, world.endpoint.port,
+                build_query_wire(name, msg_id=msg_id),
+            ))
+        transport.run()
+        assert world.auth.query_log == []
+        assert world.auth.queries_served == len(names)
+
+    def test_fold_reports_recursive_txid_counters(self):
+        world = build_world(ServeConfig(port=5300), SimTransport(), infra_port=53)
+        world.front.stats.txid_collisions = 3
+        world.front.stats.txid_exhausted = 1
+        hub = TelemetryHub()
+        world.fold_metrics(hub)
+        counters = hub.registry.snapshot().counters
+        assert counters["serve.txid_collisions"] == 3
+        assert counters["serve.txid_exhausted"] == 1

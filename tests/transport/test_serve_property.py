@@ -18,11 +18,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.dnslib.constants import QueryType
+from repro.dnslib.constants import DnsClass, QueryType, Rcode
+from repro.dnslib.edns import add_edns
 from repro.dnslib.fastwire import build_query_wire
-from repro.dnslib.wire import decode_message, encode_message
+from repro.dnslib.message import (
+    DnsFlags,
+    DnsHeader,
+    DnsMessage,
+    Question,
+    make_query,
+    make_response,
+)
+from repro.dnslib.records import AData, ResourceRecord, TxtData
+from repro.dnslib.wire import DnsWireError, decode_message, encode_message
 from repro.dnssrv.auth import AuthoritativeServer
+from repro.dnssrv.ratelimit import ClientQueryQuota, ResponseRateLimiter
+from repro.dnssrv.recursive import RecursiveResolver
 from repro.netsim.packet import Datagram
+from repro.policy.config import build_policy
+from repro.policy.engine import PolicyAction, PolicyEngine
 from repro.transport.serve import (
     DEFAULT_SLD,
     DnsService,
@@ -158,3 +172,218 @@ class TestLiveDaemonEmitsStrictWire:
         message = assert_strict_round_trip(payload)
         assert message.header.msg_id == msg_id
         assert message.header.flags.ra
+
+
+# -- the recursive front against a codec oracle ------------------------------
+
+RESOLVER_IP = "127.0.0.1"
+ROOT_IP = "127.77.0.1"
+CLIENTS = ("198.51.100.1", "198.51.100.2")
+BLOCKED = f"blocked.{DEFAULT_SLD}"
+SINKHOLED = f"evil.{DEFAULT_SLD}"
+
+#: The primed positive cache: (qname, qtype) -> rrset.
+PRIMED = {
+    (f"www.{DEFAULT_SLD}", QueryType.A): [
+        ResourceRecord(f"www.{DEFAULT_SLD}", QueryType.A, data=AData("203.0.113.80"))
+    ],
+    (f"api.{DEFAULT_SLD}", QueryType.A): [
+        ResourceRecord(f"api.{DEFAULT_SLD}", QueryType.A, data=AData("203.0.113.81"))
+    ],
+    (f"www.{DEFAULT_SLD}", QueryType.TXT): [
+        ResourceRecord(f"www.{DEFAULT_SLD}", QueryType.TXT, data=TxtData(("hit",)))
+    ],
+}
+
+
+def _defenses(rrl, quota, policy):
+    """Fresh RRL, quota and policy objects (one set per side)."""
+    return (
+        ResponseRateLimiter(rate_per_second=4.0, burst=3.0) if rrl else None,
+        ClientQueryQuota(queries_per_second=4.0, burst=5.0) if quota else None,
+        PolicyEngine(build_policy(
+            block=(BLOCKED, f"{CLIENTS[1]}/32"), sinkhole=(SINKHOLED,),
+        )) if policy else None,
+    )
+
+
+class _CaptureTransport:
+    """A frozen-clock transport that records every datagram sent."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sent = []
+
+    def bind(self, ip, port, handler):
+        return None
+
+    def send(self, datagram, origin=None):
+        self.sent.append((datagram.dst_ip, datagram.dst_port, datagram.payload))
+
+    def schedule(self, delay, callback):
+        return _NoTimer()
+
+
+class _NoTimer:
+    def cancel(self):
+        pass
+
+
+class _CodecOracle:
+    """What the recursive front must send, rebuilt from the object codec.
+
+    Written from ``decode_message``/``make_response``/``encode_message``
+    and the serving rules (FORMERR, CHAOS ``version.bind``, policy,
+    quota, positive cache, upstream query to the root, RRL on every
+    reply but the CHAOS one); it never runs the resolver's own code.
+    """
+
+    def __init__(self, rrl, quota, policy):
+        self.rrl, self.quota, self.policy = _defenses(rrl, quota, policy)
+        self.next_id = 1
+
+    def sends(self, client, now):
+        try:
+            query = decode_message(client.payload)
+        except DnsWireError:
+            return []
+        if not query.questions:
+            return self._reply(client, make_response(query, rcode=Rcode.FORMERR), now)
+        question = query.questions[0]
+        if (
+            question.qname == "version.bind"
+            and question.qclass == DnsClass.CH
+            and question.qtype in (QueryType.TXT, QueryType.ANY)
+        ):
+            refused = make_response(query, rcode=Rcode.REFUSED, ra=False)
+            return [(client.src_ip, client.src_port, encode_message(refused))]
+        if self.policy is not None:
+            action = self.policy.evaluate_query(client.src_ip, question.qname).action
+            if action is PolicyAction.REFUSE:
+                return self._reply(client, make_response(query, rcode=Rcode.REFUSED), now)
+            if action is PolicyAction.NXDOMAIN:
+                return self._reply(client, make_response(query, rcode=Rcode.NXDOMAIN), now)
+            if action is PolicyAction.SINKHOLE:
+                sinkhole = self.policy.sinkhole_answer(question.qname)
+                return self._reply(client, make_response(query, answers=[sinkhole]), now)
+        if self.quota is not None and not self.quota.allow(client.src_ip, now):
+            return self._reply(client, make_response(query, rcode=Rcode.REFUSED), now)
+        rrset = PRIMED.get((question.qname, int(question.qtype)))
+        if rrset is not None:
+            return self._reply(client, make_response(query, answers=rrset), now)
+        upstream = make_query(
+            question.qname, qtype=int(question.qtype), msg_id=self.next_id,
+            recursion_desired=False,
+        )
+        self.next_id += 1
+        return [(ROOT_IP, 53, encode_message(upstream))]
+
+    def _reply(self, client, response, now):
+        if self.policy is not None:
+            response = self.policy.rewrite_response(response)
+        if self.rrl is not None and not self.rrl.allow(client.src_ip, now):
+            return []
+        return [(client.src_ip, client.src_port, encode_message(response))]
+
+
+_oracle_name = st.sampled_from([
+    f"www.{DEFAULT_SLD}", f"api.{DEFAULT_SLD}", f"miss.{DEFAULT_SLD}",
+    BLOCKED, f"x.{BLOCKED}", SINKHOLED, "version.bind",
+])
+
+
+@st.composite
+def _client_query(draw):
+    """One client query. Two thirds are plain (one question for a
+    primed or missing name or CHAOS ``version.bind``, opcode QUERY, no
+    EDNS, lower case: the shapes the strict parser accepts); the rest
+    vary opcode, qtype, class, case, EDNS and question count, and are
+    sometimes cut short into junk. The RD/CD/AD bits vary on both."""
+    flags = DnsFlags(rd=draw(st.booleans()), cd=draw(st.booleans()),
+                     ad=draw(st.booleans()))
+    if draw(st.integers(0, 2)):
+        question = draw(st.sampled_from(
+            [Question(qname, qtype) for qname, qtype in sorted(PRIMED)]
+            + [Question(f"miss.{DEFAULT_SLD}", QueryType.A),
+               Question("version.bind", QueryType.TXT, DnsClass.CH)]
+        ))
+        message = DnsMessage(header=DnsHeader(flags=flags), questions=[question])
+        return encode_message(message)
+    questions = [
+        Question(
+            draw(_oracle_name),
+            draw(st.sampled_from(
+                [QueryType.A, QueryType.AAAA, QueryType.TXT, QueryType.ANY]
+            )),
+            draw(st.sampled_from([DnsClass.IN, DnsClass.IN, DnsClass.CH])),
+        )
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2])))
+    ]
+    message = DnsMessage(
+        header=DnsHeader(
+            flags=flags, opcode=draw(st.sampled_from([0, 0, 0, 1, 2, 4]))
+        ),
+        questions=questions,
+    )
+    if draw(st.integers(0, 3)) == 0:
+        add_edns(message)
+    wire = encode_message(message)
+    if questions and draw(st.booleans()):
+        # Upper-case the first label: the codec folds case, the strict
+        # parser refuses it.
+        end = 13 + wire[12]
+        wire = wire[:13] + wire[13:end].upper() + wire[end:]
+    if draw(st.integers(0, 7)) == 0:
+        wire = wire[:draw(st.integers(0, len(wire) - 1))]
+    return wire
+
+
+@st.composite
+def _query_stream(draw):
+    """Repeats drawn from a small pool, so the same shapes come back
+    with fresh ids, clients and clock steps."""
+    pool = draw(st.lists(_client_query(), min_size=1, max_size=6))
+    steps = draw(st.lists(
+        st.tuples(
+            st.integers(0, len(pool) - 1),
+            _msg_id,
+            st.sampled_from(CLIENTS),
+            st.sampled_from([0.0, 0.0, 0.05, 0.3, 1.0]),
+        ),
+        min_size=1, max_size=30,
+    ))
+    stream = []
+    for index, msg_id, client_ip, step in steps:
+        wire = pool[index]
+        if len(wire) >= 2:
+            wire = msg_id.to_bytes(2, "big") + wire[2:]
+        stream.append((client_ip, step, wire))
+    return stream
+
+
+class TestRecursiveFrontEqualsCodecOracle:
+    """Every byte string the recursive front sends, cache-hit fast path
+    included, equals the codec oracle's — with each defense on and off."""
+
+    @pytest.mark.parametrize("rrl", [False, True])
+    @pytest.mark.parametrize("quota", [False, True])
+    @pytest.mark.parametrize("policy", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(stream=_query_stream())
+    def test_sent_bytes_equal_the_oracle(self, rrl, quota, policy, stream):
+        transport = _CaptureTransport()
+        rate_limiter, query_quota, engine = _defenses(rrl, quota, policy)
+        resolver = RecursiveResolver(
+            RESOLVER_IP, [ROOT_IP], rate_limiter=rate_limiter,
+            query_quota=query_quota, policy=engine,
+        )
+        resolver.attach(transport)
+        for (qname, qtype), rrset in PRIMED.items():
+            resolver.cache.put(qname, qtype, rrset, transport.now)
+        oracle = _CodecOracle(rrl, quota, policy)
+        for client_ip, step, wire in stream:
+            transport.now += step
+            client = Datagram(client_ip, 5353, RESOLVER_IP, 53, wire)
+            resolver.handle_client(client, transport)
+            assert transport.sent == oracle.sends(client, transport.now)
+            transport.sent.clear()
