@@ -1,10 +1,11 @@
-"""Multicore engine benchmark: aggregate probe capacity vs serial.
+"""Process-round benchmark: aggregate probe capacity vs one worker.
 
-Measures the shared-nothing engine the way a scale-out scanner is
-actually judged: **aggregate probes per CPU-second** across all
-workers against the serial engine's single-core rate. Per-worker busy
-time is ``time.process_time()`` — CPU consumed, not wall clock — so
-the number is honest on hosts with fewer cores than workers: eight
+Measures ``run_sharded(parallelism="process")`` — shared-nothing
+forked workers shipping frames over result rings — the way a
+scale-out scanner is actually judged: **aggregate probes per
+CPU-second** across all workers against the one-worker campaign's
+single-core rate. Per-worker busy time is ``time.process_time()`` —
+CPU consumed, not wall clock — so the number is honest on hosts with fewer cores than workers: eight
 workers time-slicing one core each report their true CPU cost instead
 of a contention-inflated wall time, and the aggregate measures what
 the engine would sustain given eight real cores. The serial baseline
@@ -34,7 +35,7 @@ import os
 import time
 
 from repro.core import Campaign, CampaignConfig
-from repro.core.multicore import run_multicore
+from repro.core.shard import run_sharded
 
 SEED = 7
 
@@ -59,7 +60,7 @@ REGRESSION_TOLERANCE = 0.50
 
 
 def measure_serial() -> dict:
-    """The serial engine's single-core rate, CPU-time based."""
+    """The one-worker campaign's single-core rate, CPU-time based."""
     cpu_start = time.process_time()
     wall_start = time.perf_counter()
     result = Campaign(TIMED_CONFIG).run()
@@ -78,11 +79,9 @@ def measure_multicore() -> dict:
     """The 8-worker engine's aggregate rate from per-worker CPU time."""
     import dataclasses
 
-    config = dataclasses.replace(
-        TIMED_CONFIG, workers=WORKERS, engine="multicore"
-    )
+    config = dataclasses.replace(TIMED_CONFIG, workers=WORKERS)
     wall_start = time.perf_counter()
-    result = run_multicore(config, parallelism="process")
+    result = run_sharded(config, parallelism="process")
     wall = time.perf_counter() - wall_start
     stats = result.engine_stats
     busy = stats["worker_busy_s"]
@@ -93,7 +92,6 @@ def measure_multicore() -> dict:
     return {
         "workers": WORKERS,
         "transport": stats["transport"],
-        "event_batch": stats["event_batch"],
         "q1_total": sum(q1.values()),
         "worker_busy_s": {str(k): v for k, v in sorted(busy.items())},
         "wall_s": round(wall, 4),
@@ -104,7 +102,7 @@ def measure_multicore() -> dict:
 
 
 def run_benchmark() -> dict:
-    """Measure both engines, compute the speedup, publish the record."""
+    """Measure both runs, compute the speedup, publish the record."""
     from benchmarks.conftest import load_bench_record, publish_bench_record
 
     serial = measure_serial()

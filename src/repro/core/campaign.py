@@ -44,27 +44,13 @@ from repro.analysis.report import (
 from repro.analysis.summary import extrapolate, measure_probe_summary
 from repro.attacks.matrix import AttackMatrix
 from repro.attacks.report import render_attack_matrix
-from repro.dnssrv.hierarchy import Hierarchy, build_hierarchy
-from repro.netsim.faults import build_injector, fault_profile
-from repro.netsim.latency import LogNormalLatency
-from repro.netsim.loss import BernoulliLoss
+from repro.core.shard import _campaign_universe, run_sharded
+from repro.dnssrv.hierarchy import Hierarchy
+from repro.netsim.faults import fault_profile
 from repro.netsim.network import Network
-from repro.prober.capture import FlowSet, join_flows
-from repro.prober.probe import (
-    PROBER_IP,
-    ProbeCapture,
-    ProbeConfig,
-    Prober,
-    RetryPolicy,
-)
-from repro.prober.zmap import probe_list
-from repro.resolvers.apportion import scale_count
-from repro.resolvers.population import (
-    PopulationSampler,
-    SampledPopulation,
-    assign_transparent_forwarders,
-    deploy_forwarder_upstreams,
-)
+from repro.prober.capture import FlowSet
+from repro.prober.probe import ProbeCapture, RetryPolicy
+from repro.resolvers.population import SampledPopulation
 from repro.resolvers.profiles import YearProfile, profile_for_year
 from repro.stats import (
     CorrectnessTable,
@@ -81,7 +67,6 @@ from repro.stats import (
 )
 from repro.stream.aggregate import TableAggregate
 from repro.stream.assembler import StreamStats
-from repro.stream.pipeline import StreamPipeline
 from repro.telemetry.hub import TelemetrySnapshot, as_hub, maybe_span
 
 
@@ -119,8 +104,8 @@ class CampaignConfig:
     memory is O(distinct destinations + in-flight flows) instead of
     O(probes); the result then carries an empty ``flow_set``/``capture
     .r2_records``/``query_log``, tables only. ``retain_query_log=False``
-    leaves the log on the auth server but off the result — for callers
-    that never persist it.
+    still joins the log into the flows but keeps it off the result —
+    for callers that never persist it.
     """
 
     year: int = 2018
@@ -140,15 +125,11 @@ class CampaignConfig:
     mode: str = "batch"
     drop_captures: bool = False
     retain_query_log: bool = True
-    #: Parallel execution engine for sharded runs: ``"pool"`` is the
-    #: ProcessPoolExecutor shard loop (:func:`repro.core.shard.run_sharded`),
-    #: ``"multicore"`` the shared-nothing pipelined engine
-    #: (:func:`repro.core.multicore.run_multicore`) — workers derive
-    #: their slice locally and ship compact binary records over
-    #: shared-memory rings. Both render byte-identical Tables II–X;
-    #: ``engine`` is excluded from the checkpoint fingerprint, so a
-    #: campaign checkpointed under one engine resumes under the other.
-    engine: str = "pool"
+    #: Kept only because callers still pass it: every campaign runs on
+    #: the one engine, :func:`repro.core.shard.run_sharded`, so
+    #: ``"multicore"`` is the only value. Excluded from the checkpoint
+    #: fingerprint.
+    engine: str = "multicore"
     #: Run the adversarial workload suite (:mod:`repro.attacks`) and
     #: attach the attack × defense matrix to the result. Default-off:
     #: Tables II–X are byte-identical with or without it — the matrix
@@ -179,10 +160,8 @@ class CampaignConfig:
                 "drop_captures requires mode='stream': the batch analyzers "
                 "read the retained captures"
             )
-        if self.engine not in ("pool", "multicore"):
-            raise ValueError(
-                f"engine must be 'pool' or 'multicore': {self.engine!r}"
-            )
+        if self.engine != "multicore":
+            raise ValueError(f"engine must be 'multicore': {self.engine!r}")
         fault_profile(self.fault_profile)  # reject unknown names up front
 
     def retry_policy(self) -> RetryPolicy:
@@ -251,6 +230,9 @@ class CampaignResult:
     config: CampaignConfig
     profile: YearProfile
     population: SampledPopulation
+    #: The follow-up world: the population deployed on a never-scanned
+    #: network, for follow-up scans (fingerprinting, DNSSEC census).
+    #: The scan's own auth log is ``query_log``.
     hierarchy: Hierarchy
     network: Network
     software_map: dict[str, object]
@@ -285,12 +267,10 @@ class CampaignResult:
     #: function of mode-invariant config knobs, byte-identical across
     #: serial/sharded/stream/resume runs.
     attack_matrix: AttackMatrix | None = None
-    #: The auth-side Q2/R1 capture (merged across shards when sharded);
-    #: the serial run's hierarchy.auth.query_log, hoisted here so that
-    #: persistence does not depend on which network ran the scan.
+    #: The auth-side Q2/R1 capture, merged across shards.
     query_log: list = dataclasses.field(default_factory=list)
-    #: Set when a sharded campaign lost shards past their retry budget;
-    #: None means full coverage.
+    #: Set when a campaign lost shards past their retry budget; None
+    #: means full coverage.
     degraded: DegradedManifest | None = None
     #: Streaming-pipeline observability (``mode="stream"`` only): event
     #: counts, flows opened/evicted, peak live flows. Deliberately not
@@ -303,10 +283,10 @@ class CampaignResult:
     #: :meth:`summary`/:meth:`report` — those bytes must not depend on
     #: whether the campaign was being watched.
     telemetry: TelemetrySnapshot | None = None
-    #: Execution-engine accounting (multicore engine only): transport
-    #: used, per-worker CPU-busy seconds and probe counts, frames and
-    #: bytes shipped, rounds run. Pure observability — never part of
-    #: :meth:`summary`/:meth:`report`.
+    #: Execution accounting, set on every run: transport (``inline``,
+    #: ``shm`` or ``pipe``), per-shard CPU-busy seconds and probe
+    #: counts, frames and bytes shipped, rounds run. Pure observability
+    #: — never part of :meth:`summary`/:meth:`report`.
     engine_stats: dict | None = None
 
     @property
@@ -380,9 +360,12 @@ class Campaign:
         self.profile = profile_for_year(self.config.year)
 
     def build_universe(self) -> list[int]:
-        """The scaled universe: exactly the addresses the prober will walk."""
-        q1_target = scale_count(self.profile.q1_full, self.config.scale)
-        return probe_list(seed=self.config.seed, limit=q1_target)
+        """The scaled universe: exactly the addresses the prober will walk.
+
+        The list is the one every shard slices (memoised per seed,
+        year and scale); callers must not mutate it.
+        """
+        return _campaign_universe(self.config)
 
     def run(
         self,
@@ -392,25 +375,24 @@ class Campaign:
         resume_from=None,
         telemetry=None,
     ) -> CampaignResult:
-        """Run the campaign.
+        """Run the campaign through :func:`repro.core.shard.run_sharded`.
+
+        A one-worker campaign is one shard run in this process; any
+        more shards run in forked workers. Every worker count renders
+        byte-identical tables at ``loss_rate == 0``.
 
         ``population_override`` substitutes a pre-built population —
         used by :mod:`repro.monitor` to re-scan an evolved world. Its
         hosts must live inside this campaign's universe (e.g. produced
         by evolving a population sampled with the same seed/scale).
 
-        ``workers`` overrides the config's worker count for this run;
-        any value above 1 dispatches to the sharded engine
-        (:func:`repro.core.shard.run_sharded`), which produces
-        byte-identical tables at ``loss_rate == 0``.
+        ``workers`` overrides the config's worker count for this run.
 
         ``checkpoint_dir`` persists each completed shard to disk as it
         finishes; ``resume_from`` loads such a directory, re-executes
         only the shards missing from it, and keeps checkpointing there.
-        Either option routes through the sharded engine (a serial run
-        is a one-shard campaign). A resumed run must use the same
-        (seed, scale, year, workers, fault profile) — the checkpoint
-        manifest enforces this.
+        A resumed run must use the same (seed, scale, year, workers,
+        fault profile) — the checkpoint manifest enforces this.
 
         ``telemetry`` switches on the observability layer
         (:mod:`repro.telemetry`): pass a
@@ -423,30 +405,14 @@ class Campaign:
         exactly the untelemetered one.
         """
         config = self.config
+        if workers is not None and workers != config.workers:
+            config = dataclasses.replace(config, workers=workers)
         hub = as_hub(telemetry)
-        worker_count = config.workers if workers is None else workers
-        if (
-            worker_count > 1
-            or checkpoint_dir is not None
-            or resume_from is not None
-            or config.engine == "multicore"
+        with maybe_span(
+            hub, "campaign", year=config.year, scale=config.scale,
+            seed=config.seed, mode=config.mode, workers=config.workers,
         ):
-            if config.workers != worker_count:
-                config = dataclasses.replace(config, workers=worker_count)
-            if config.engine == "multicore":
-                from repro.core.multicore import run_multicore
-
-                return run_multicore(
-                    config,
-                    population_override=population_override,
-                    checkpoint_dir=checkpoint_dir if checkpoint_dir is not None
-                    else resume_from,
-                    resume=resume_from is not None,
-                    telemetry=hub,
-                )
-            from repro.core.shard import run_sharded
-
-            return run_sharded(
+            result = run_sharded(
                 config,
                 population_override=population_override,
                 checkpoint_dir=checkpoint_dir if checkpoint_dir is not None
@@ -454,191 +420,9 @@ class Campaign:
                 resume=resume_from is not None,
                 telemetry=hub,
             )
-        with maybe_span(
-            hub, "campaign", year=config.year, scale=config.scale,
-            seed=config.seed, mode=config.mode, workers=1,
-        ):
-            result = self._run_serial(config, population_override, hub)
         if hub is not None:
             result.telemetry = hub.snapshot()
         return result
-
-    def _run_serial(
-        self,
-        config: CampaignConfig,
-        population_override: SampledPopulation | None,
-        hub=None,
-    ) -> CampaignResult:
-        """The single-simulation scan (the ``workers == 1`` engine)."""
-        loss = BernoulliLoss(config.loss_rate) if config.loss_rate else None
-        network = Network(
-            seed=config.seed,
-            latency=LogNormalLatency(median=config.latency_median, sigma=0.5),
-            loss=loss,
-        )
-        if hub is not None:
-            hub.tracer.clock = lambda: network.scheduler.now
-        hierarchy = build_hierarchy(network)
-        infrastructure = {
-            hierarchy.root.ip, hierarchy.tld.ip, hierarchy.auth.ip, PROBER_IP,
-            # The shared forwarder upstreams are infrastructure too:
-            # blackholing one would silently convert its whole
-            # transparent fan-in into unresponsive hosts.
-            *self.profile.forwarder_upstreams,
-        }
-        network.attach_faults(
-            build_injector(
-                config.fault_profile, config.seed, 0, 1,
-                exempt=infrastructure,
-            )
-        )
-        q1_target = scale_count(self.profile.q1_full, config.scale)
-        universe: list[int] | None = None
-        with maybe_span(hub, "universe_walk", q1_target=q1_target):
-            if population_override is not None:
-                # The universe list is O(probes) of ints — by far the
-                # largest single allocation in a run. A pre-built
-                # population was sampled from it already, so skip it.
-                population = population_override
-            else:
-                universe = self.build_universe()
-                population = PopulationSampler(
-                    self.profile,
-                    scale=config.scale,
-                    seed=config.seed,
-                    excluded_ips=infrastructure,
-                    universe=universe,
-                ).sample()
-        software_map: dict[str, object] = {}
-        banners: dict[str, str | None] = {}
-        if config.fingerprinting:
-            from repro.fingerprint.identities import assign_software
-
-            software_map = assign_software(population, seed=config.seed)
-            banners = {
-                ip: identity.banner for ip, identity in software_map.items()
-            }
-        validators: set[str] = set()
-        if config.dnssec:
-            from repro.dnssec.census import assign_validators
-
-            validators = assign_validators(
-                population, year=config.year, seed=config.seed
-            )
-        # Post-sampling overlay: flip the calibrated share of
-        # std-resolvers into transparent forwarders. Idempotent (an
-        # independent string-seeded lane re-derives the same flips), so
-        # re-deploying an overridden population is safe.
-        assign_transparent_forwarders(population, seed=config.seed)
-        with maybe_span(hub, "deploy", hosts=len(population.assignments)):
-            population.deploy(
-                network, auth_ip=hierarchy.auth.ip, version_banners=banners,
-                dnssec_validators=validators,
-            )
-            deploy_forwarder_upstreams(network, self.profile, hierarchy.auth.ip)
-        probe_config = ProbeConfig(
-            q1_target=q1_target,
-            rate_pps=self.profile.probe_rate_pps
-            * config.time_compression
-            / config.scale,
-            cluster_size=max(50, scale_count(5_000_000, config.scale)),
-            reuse_subdomains=config.reuse_subdomains,
-            seed=config.seed,
-            sld=hierarchy.sld,
-            record_sent_log=config.record_sent_log,
-            retry=config.retry_policy(),
-            # The universe IS the prober's walk (same seed, same
-            # limit): hand it over so the prober does not repeat the
-            # whole permutation a second time.
-            addresses=(
-                tuple(universe)
-                if universe is not None and len(universe) == q1_target
-                else None
-            ),
-        )
-        pipeline: StreamPipeline | None = None
-        if config.mode == "stream":
-            if config.drop_captures:
-                probe_config.retain_r2 = False
-                hierarchy.auth.retain_query_log = False
-            pipeline = StreamPipeline(
-                truth_ip=hierarchy.auth.ip,
-                source_port=probe_config.source_port,
-                response_window=probe_config.response_window,
-                upstream_ips=frozenset(self.profile.forwarder_upstreams),
-            )
-            pipeline.attach(network)
-        hint = population.address_set() if config.fast else None
-        prober = Prober(
-            network, hierarchy.auth, probe_config, ip=PROBER_IP,
-            responder_hint=hint, telemetry=hub,
-        )
-        if hub is not None:
-            hub.attach(
-                network,
-                auth_ip=hierarchy.auth.ip,
-                prober_ip=PROBER_IP,
-                source_port=probe_config.source_port,
-                response_window=probe_config.response_window,
-                upstream_ips=frozenset(self.profile.forwarder_upstreams),
-            )
-            hub.add_sampler(
-                "scheduler.pending_events",
-                lambda: network.scheduler.pending,
-            )
-            hub.add_sampler(
-                "prober.in_flight_batches", lambda: len(prober._in_flight)
-            )
-            if pipeline is not None:
-                hub.add_sampler(
-                    "stream.live_flows",
-                    lambda: pipeline.assembler.live_flows,
-                )
-        with maybe_span(hub, "scan"):
-            capture = prober.run()
-        if hub is not None:
-            hub.detach()
-            hub.heartbeat(network.now)  # the final progress mark
-            hub.add_fault_window_spans(
-                fault_profile(config.fault_profile).plan,
-                capture.start_time, network.now,
-            )
-            hub.finalize_network(network)
-            hub.finalize_capture(capture)
-        if config.time_compression != 1.0:
-            capture = dataclasses.replace(
-                capture,
-                end_time=capture.start_time
-                + capture.duration * config.time_compression,
-            )
-        with maybe_span(hub, "merge_and_analyze"):
-            if pipeline is not None:
-                aggregate = pipeline.finish()
-                if hub is not None:
-                    hub.finalize_stream(pipeline.stats)
-                if config.drop_captures:
-                    flow_set = FlowSet(flows={}, unjoinable=[])
-                    query_log: list = []
-                else:
-                    flow_set = join_flows(capture.r2_records, hierarchy.auth)
-                    query_log = (
-                        list(hierarchy.auth.query_log)
-                        if config.retain_query_log else []
-                    )
-                return self._analyze_stream(
-                    population, hierarchy, network, software_map, validators,
-                    capture, flow_set, aggregate, pipeline.stats,
-                    query_log=query_log,
-                )
-            flow_set = join_flows(capture.r2_records, hierarchy.auth)
-            query_log = (
-                list(hierarchy.auth.query_log)
-                if config.retain_query_log else []
-            )
-            return self._analyze(
-                population, hierarchy, network, software_map, validators,
-                capture, flow_set, query_log=query_log,
-            )
 
     def _analyze(
         self,

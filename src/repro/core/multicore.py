@@ -1,66 +1,52 @@
-"""Shared-nothing per-core campaign engine with pipelined result rings.
+"""Fork+ring transport: one campaign round in shared-nothing children.
 
-The pool engine (:func:`repro.core.shard.run_sharded`) ships fat
-pickled :class:`~repro.core.shard.ShardOutcome` objects through a
-``ProcessPoolExecutor`` and merges them when the round ends. This
-module replaces that loop with the ZDNS/ZMap scale-out shape the
-ROADMAP names:
+:func:`repro.core.shard.run_sharded` runs every campaign; when a round
+runs in worker processes, it hands that round to :func:`run_multicore`,
+which runs the pending shards the ZDNS/ZMap scale-out way:
 
 - **Work distribution without task objects.** The parent sends each
   worker only scalars: the config's field tuple plus
   ``(worker_id, nworkers, attempt)``. The worker derives everything
-  else locally — its splitmix64 seed lane via
-  ``derive_seed(campaign_seed, worker_id, nworkers)`` and its strided
-  probe slice ``universe[worker_id::nworkers]`` — exactly as
-  :func:`~repro.core.shard.run_shard` always has, so the per-shard
-  simulation is byte-identical to the pool engine's. Under the fork
-  start method the parent primes the shared universe memo first, so
-  children inherit the materialized permutation walk instead of each
-  recomputing it.
+  else locally — its seed via :func:`~repro.core.shard.shard_seed` and
+  its strided probe slice ``universe[worker_id::nworkers]`` — exactly
+  as :func:`~repro.core.shard.run_shard` does in-process, so the
+  per-shard simulation is byte-identical wherever it runs. Under the
+  fork start method the parent primes the shared universe and world
+  memos first, so children inherit them instead of each recomputing
+  them.
 - **Compact result rings, drained incrementally.** Each worker owns a
-  single-producer ring (:mod:`repro.core.ringbuf`: shared memory,
-  pipe fallback, or in-process for inline execution) and ships its
-  outcome as a struct-packed frame (:mod:`repro.stream.codec`) when
-  the state is compact (streaming ``drop_captures``), or a pickle
-  frame otherwise. The parent drains all rings continuously while
-  workers run, so a ring never blocks a producer and results are
-  decoded as they land, not at the end of the round.
+  single-producer ring (:mod:`repro.core.ringbuf`: shared memory, or a
+  pipe where the platform has none) and ships its outcome as a
+  struct-packed frame (:mod:`repro.stream.codec`) when the state is
+  compact (streaming ``drop_captures``), or a pickle frame otherwise.
+  The parent drains all rings continuously while workers run, so a
+  ring never blocks a producer and results are decoded as they land,
+  not at the end of the round.
 - **Batched dispatch inside the worker.** The scan drains the
-  scheduler in fixed-size event batches
-  (:meth:`~repro.netsim.events.Scheduler.run_batch`), the fastwire Q1
-  template already renders from one reused buffer, and telemetry wire
-  counters are coalesced into per-batch flushes instead of per-probe
-  increments.
+  scheduler in :data:`DEFAULT_EVENT_BATCH`-event batches
+  (:meth:`~repro.netsim.events.Scheduler.run_batch`) and folds
+  telemetry wire tallies once per batch instead of per probe.
 
-Fault handling mirrors the pool engine: a worker that raises ships an
-error frame; a worker that dies without a frame (chaos kill, crash) is
-detected by exit code; both are requeued with the same derived seed up
-to ``config.max_shard_retries``, then recorded in the degraded
-manifest. Checkpoints use the same fingerprint (``engine`` excluded),
-so campaigns checkpoint/resume interchangeably across engines. The
-merge itself is :func:`repro.core.shard.finalize_outcomes` — one
-finalization path for both engines, so the byte-identity contract for
-Tables II–X is structural, not aspirational.
+A worker that raises ships an error frame; a worker that dies without
+a frame (chaos kill, crash) is detected by its exit code. Either way
+the shard comes back as an error, and ``run_sharded`` decides whether
+to requeue it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
 import pickle
 import struct
 import time
-import warnings
 
 from repro.core.ringbuf import (
     KIND_ERROR,
     KIND_OUTCOME_COMPACT,
     KIND_OUTCOME_PICKLE,
     FrameParser,
-    MemoryRing,
     PipeRing,
-    ShmRing,
     create_ring,
     open_child_ring,
     pack_frame,
@@ -69,16 +55,10 @@ from repro.core.shard import (
     ShardExecutionError,
     ShardOutcome,
     ShardTask,
-    _supports_process_pool,
-    checkpoint_fingerprint,
-    cluster_namespace_slice,
-    finalize_outcomes,
-    prime_shard_caches,
     run_shard,
+    shard_seed,
 )
-from repro.netsim.seeds import derive_seed
 from repro.resolvers.population import SampledPopulation
-from repro.telemetry.hub import as_hub, maybe_span
 
 __all__ = ["run_multicore", "DEFAULT_EVENT_BATCH"]
 
@@ -96,15 +76,8 @@ _PREFIX = struct.Struct("<IId")
 #: Fork-inheritance slot for ``population_override``: an evolved world
 #: cannot be re-derived from the seed, so it cannot ride the scalar
 #: wire. The parent parks it here before forking and clears it after;
-#: forked children read it at task build time. Under a non-fork start
-#: method an override forces inline execution instead.
+#: forked children read it at task build time.
 _fork_override: SampledPopulation | None = None
-
-_TRANSPORT_NAMES = {
-    ShmRing: "shm",
-    PipeRing: "pipe",
-    MemoryRing: "memory",
-}
 
 
 def _config_to_wire(config) -> tuple:
@@ -128,21 +101,19 @@ def _worker_main(
     attempt: int,
     ring_handle,
     telemetry_config,
-    event_batch: int,
 ) -> None:
     """One worker: derive the slice locally, scan, ship one frame.
 
     Runs as a child process (fork or spawn — the args are scalars plus
-    a ring descriptor) or inline for the in-process engine. Exactly one
-    frame leaves: a compact or pickled outcome on success, an error
-    frame on :class:`ShardExecutionError`. A hard kill ships nothing;
-    the parent reads the exit code instead.
+    a ring descriptor). Exactly one frame leaves: a compact or pickled
+    outcome on success, an error frame on
+    :class:`ShardExecutionError`. A hard kill ships nothing; the parent
+    reads the exit code instead.
     """
     ring = open_child_ring(ring_handle)
     try:
-        config = _config_from_wire(wire)
         task = ShardTask(
-            config=config,
+            config=_config_from_wire(wire),
             index=index,
             workers=workers,
             population_override=_fork_override,
@@ -151,7 +122,7 @@ def _worker_main(
         )
         busy_start = time.process_time()
         try:
-            outcome = run_shard(task, event_batch=event_batch)
+            outcome = run_shard(task, event_batch=DEFAULT_EVENT_BATCH)
         except ShardExecutionError as exc:
             ring.write(pack_frame(
                 KIND_ERROR,
@@ -176,8 +147,7 @@ def _worker_main(
                 ),
             ))
     finally:
-        if not isinstance(ring, MemoryRing):
-            ring.close()
+        ring.close()
 
 
 def _handle_frame(
@@ -212,7 +182,7 @@ def _handle_frame(
 class _WorkerState:
     ring: object
     parser: FrameParser
-    proc: object
+    proc: object = None
 
 
 def _drain_workers(
@@ -246,13 +216,13 @@ def _drain_workers(
             if pump(state):
                 progress = True
             proc = state.proc
-            if proc is not None and not proc.is_alive():
+            if not proc.is_alive():
                 proc.join()
                 pump(state)  # the frame may have landed between polls
                 if index not in outcomes and index not in errors:
                     errors[index] = ShardExecutionError(
                         index, config.workers,
-                        derive_seed(config.seed, index, config.workers),
+                        shard_seed(config.seed, index, config.workers),
                         "worker exited with code "
                         f"{proc.exitcode} before shipping a result",
                     )
@@ -263,16 +233,33 @@ def _drain_workers(
             time.sleep(0.001)
 
 
-def _run_round_processes(
+def _abort(states: dict[int, _WorkerState]) -> None:
+    """Tear down a round whose children could not all start."""
+    for state in states.values():
+        proc = state.proc
+        if proc is not None and proc.pid is not None:
+            proc.terminate()
+            proc.join()
+        state.ring.close()
+
+
+def run_multicore(
     config,
     pending: list[int],
     attempts: dict[int, int],
     population_override,
     telemetry_config,
-    ring_kind: str,
-    event_batch: int,
     stats: dict,
 ) -> tuple[dict[int, ShardOutcome], dict[int, BaseException]]:
+    """Run one round's ``pending`` shards in forked children.
+
+    One child and one result ring per shard; returns the round's
+    ``(outcomes, errors)`` by shard index and accounts frames, bytes,
+    transport and per-worker CPU-busy seconds on ``stats``. Its wall
+    time is the parent waiting on its children. Raises ``OSError``
+    (with every started child stopped) when a ring or a child cannot
+    be created — the caller decides whether to run the round inline.
+    """
     global _fork_override
     wire = _config_to_wire(config)
     outcomes: dict[int, ShardOutcome] = {}
@@ -281,216 +268,24 @@ def _run_round_processes(
     _fork_override = population_override
     try:
         for index in pending:
-            ring = create_ring(ring_kind)
-            stats["transport"] = _TRANSPORT_NAMES.get(
-                type(ring), type(ring).__name__
-            )
-            proc = multiprocessing.Process(
+            ring = create_ring()
+            handle = ring.child_handle()
+            stats["transport"] = handle[0]  # "shm" or "pipe"
+            state = states[index] = _WorkerState(ring, FrameParser())
+            state.proc = multiprocessing.Process(
                 target=_worker_main,
                 args=(
-                    wire, index, config.workers, attempts[index],
-                    ring.child_handle(), telemetry_config, event_batch,
+                    wire, index, config.workers, attempts[index], handle,
+                    telemetry_config,
                 ),
             )
-            proc.start()
+            state.proc.start()
             if isinstance(ring, PipeRing):
                 ring.close_writer()  # the child holds the only write end now
-            states[index] = _WorkerState(
-                ring=ring, parser=FrameParser(), proc=proc
-            )
+    except BaseException:
+        _abort(states)
+        raise
     finally:
         _fork_override = None
     _drain_workers(states, outcomes, errors, stats, config)
     return outcomes, errors
-
-
-def _run_round_inline(
-    config,
-    pending: list[int],
-    attempts: dict[int, int],
-    population_override,
-    telemetry_config,
-    event_batch: int,
-    stats: dict,
-) -> tuple[dict[int, ShardOutcome], dict[int, BaseException]]:
-    """In-process rounds still go through the ring + codec path, so the
-    inline engine exercises — and the conformance suite covers — the
-    exact encode/decode bytes the process engine ships."""
-    global _fork_override
-    wire = _config_to_wire(config)
-    outcomes: dict[int, ShardOutcome] = {}
-    errors: dict[int, BaseException] = {}
-    stats["transport"] = "memory"
-    for index in pending:
-        ring = MemoryRing()
-        _fork_override = population_override
-        try:
-            _worker_main(
-                wire, index, config.workers, attempts[index], ring,
-                telemetry_config, event_batch,
-            )
-        finally:
-            _fork_override = None
-        data = ring.read()
-        stats["bytes_shipped"] += len(data)
-        for kind, payload in FrameParser().feed(data):
-            _handle_frame(kind, payload, outcomes, errors, stats)
-        if index not in outcomes and index not in errors:
-            errors[index] = ShardExecutionError(
-                index, config.workers,
-                derive_seed(config.seed, index, config.workers),
-                "worker produced no result frame",
-            )
-    return outcomes, errors
-
-
-def _fork_available() -> bool:
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - exotic platforms
-        return False
-
-
-def run_multicore(
-    config,
-    population_override: SampledPopulation | None = None,
-    parallelism: str = "auto",
-    checkpoint_dir=None,
-    resume: bool = False,
-    telemetry=None,
-    ring: str = "auto",
-    event_batch: int = DEFAULT_EVENT_BATCH,
-) -> "CampaignResult":  # noqa: F821
-    """Run a campaign on the shared-nothing multicore engine.
-
-    Same contract as :func:`repro.core.shard.run_sharded` — same
-    retry/degraded semantics, same checkpoint fingerprint, same merged
-    tables byte for byte — different execution substrate: one process
-    per shard, scalar-only work distribution, compact binary result
-    frames over per-worker rings with continuous parent-side drain.
-
-    ``parallelism``: ``"process"`` forces child processes, ``"inline"``
-    forces in-process execution (still through the ring/codec path),
-    ``"auto"`` picks processes when the platform supports them.
-    ``ring`` picks the transport (``"auto"``/``"shm"``/``"pipe"``).
-    The result's ``engine_stats`` records transport, rounds, frames,
-    bytes shipped, and per-worker CPU-busy seconds and probe counts.
-    """
-    if parallelism not in ("auto", "process", "inline"):
-        raise ValueError(f"unknown parallelism mode: {parallelism!r}")
-    if ring not in ("auto", "shm", "pipe"):
-        raise ValueError(f"unknown ring transport: {ring!r}")
-    if event_batch < 1:
-        raise ValueError("event_batch must be at least 1")
-    hub = as_hub(telemetry)
-    workers = config.workers
-    cluster_namespace_slice(0, workers)  # reject impossible splits up front
-    fingerprint = checkpoint_fingerprint(config)
-    completed: dict[int, ShardOutcome] = {}
-    if resume:
-        if checkpoint_dir is None:
-            raise ValueError("resume=True requires a checkpoint_dir")
-        from repro.datasets.store import load_shard_checkpoints
-
-        completed = {
-            index: outcome
-            for index, outcome in load_shard_checkpoints(
-                checkpoint_dir, fingerprint
-            ).items()
-            if 0 <= index < workers
-        }
-    if checkpoint_dir is not None:
-        from repro.datasets.store import save_shard_checkpoint
-
-    use_processes = parallelism == "process" or (
-        parallelism == "auto" and _supports_process_pool()
-    )
-    if use_processes and population_override is not None and not _fork_available():
-        if parallelism == "process":
-            raise ValueError(
-                "population_override needs the fork start method (it "
-                "cannot ride the scalar wire); use parallelism='inline'"
-            )
-        warnings.warn(
-            "population_override cannot cross a non-fork process boundary; "
-            "multicore round running inline",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        use_processes = False
-    if population_override is None and (
-        not use_processes or _fork_available()
-    ):
-        # Prime the config-pure shared state (universe walk + sampled
-        # world): fork children inherit it, and inline shards reuse it,
-        # instead of each paying the O(universe) setup again.
-        prime_shard_caches(config)
-
-    resumed = len(completed)
-    pending = [index for index in range(workers) if index not in completed]
-    attempts = dict.fromkeys(pending, 0)
-    failures: dict[int, tuple[int, BaseException]] = {}
-    stats: dict = {
-        "engine": "multicore",
-        "transport": None,
-        "workers": workers,
-        "event_batch": event_batch,
-        "rounds": 0,
-        "resumed_shards": resumed,
-        "frames": 0,
-        "bytes_shipped": 0,
-        "compact_frames": 0,
-        "pickle_frames": 0,
-        "worker_busy_s": {},
-        "worker_q1": {},
-    }
-    telemetry_config = hub.config if hub is not None else None
-    with maybe_span(
-        hub, "multicore_execution", workers=workers,
-        resumed=resumed, pending=len(pending),
-    ):
-        while pending:
-            stats["rounds"] += 1
-            if use_processes:
-                outcomes, errors = _run_round_processes(
-                    config, pending, attempts, population_override,
-                    telemetry_config, ring, event_batch, stats,
-                )
-            else:
-                outcomes, errors = _run_round_inline(
-                    config, pending, attempts, population_override,
-                    telemetry_config, event_batch, stats,
-                )
-            for index in sorted(outcomes):
-                completed[index] = outcomes[index]
-                if checkpoint_dir is not None:
-                    save_shard_checkpoint(
-                        checkpoint_dir, fingerprint, index, outcomes[index]
-                    )
-            requeue = []
-            for index in sorted(errors):
-                if index in outcomes:
-                    continue  # a retry raced a late frame; outcome wins
-                attempts[index] += 1
-                if hub is not None:
-                    hub.registry.counter(
-                        "campaign.shard_attempts_failed"
-                    ).inc()
-                if attempts[index] > config.max_shard_retries:
-                    failures[index] = (attempts[index], errors[index])
-                else:
-                    requeue.append(index)
-            pending = sorted(requeue)
-        if hub is not None:
-            for index in sorted(completed):
-                hub.merge_snapshot(
-                    getattr(completed[index], "telemetry", None), shard=index
-                )
-    result = finalize_outcomes(
-        config, completed, failures, population_override, hub
-    )
-    stats["worker_q1"] = {
-        index: completed[index].capture.q1_sent for index in sorted(completed)
-    }
-    result.engine_stats = stats
-    return result

@@ -7,7 +7,7 @@ framing lives in :func:`pack_frame`/:class:`FrameParser` above it — so
 a frame larger than the ring's capacity still flows: the writer blocks
 in chunks while the reader drains concurrently.
 
-Three transports behind one ``write(bytes)`` / ``read() -> bytes``
+Two transports behind one ``write(bytes)`` / ``read() -> bytes``
 interface:
 
 - :class:`ShmRing` — a ``multiprocessing.shared_memory`` circular
@@ -20,9 +20,6 @@ interface:
 - :class:`PipeRing` — a ``multiprocessing.Pipe`` fallback for
   platforms without POSIX shared memory; chunks arrive pre-framed by
   the OS pipe and are concatenated back into the byte stream.
-- :class:`MemoryRing` — an in-process bytearray for inline execution,
-  so the inline engine exercises the exact same frame/codec path the
-  process engine uses.
 
 ``create_ring(kind)`` builds the parent end; its ``child_handle()`` is
 a small picklable descriptor the worker turns back into a writer with
@@ -42,7 +39,6 @@ __all__ = [
     "FrameParser",
     "ShmRing",
     "PipeRing",
-    "MemoryRing",
     "create_ring",
     "open_child_ring",
 ]
@@ -263,27 +259,6 @@ class PipeRing:
         self._reader = self._writer = None
 
 
-class MemoryRing:
-    """In-process ring for inline execution: same framing, no copy out."""
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def child_handle(self) -> "MemoryRing":
-        return self
-
-    def write(self, data: bytes, timeout: float = 60.0) -> None:
-        self._buffer += data
-
-    def read(self) -> bytes:
-        data = bytes(self._buffer)
-        self._buffer.clear()
-        return data
-
-    def close(self) -> None:
-        self._buffer.clear()
-
-
 def shared_memory_available() -> bool:
     try:
         from multiprocessing import shared_memory  # noqa: F401
@@ -299,10 +274,8 @@ def create_ring(kind: str = "auto", capacity: int = DEFAULT_CAPACITY):
     pipe fallback, ``"auto"`` prefers shared memory when the platform
     has it.
     """
-    if kind not in ("auto", "shm", "pipe", "memory"):
+    if kind not in ("auto", "shm", "pipe"):
         raise ValueError(f"unknown ring kind: {kind!r}")
-    if kind == "memory":
-        return MemoryRing()
     if kind == "pipe" or (kind == "auto" and not shared_memory_available()):
         return PipeRing()
     return ShmRing.create(capacity)
@@ -310,8 +283,6 @@ def create_ring(kind: str = "auto", capacity: int = DEFAULT_CAPACITY):
 
 def open_child_ring(handle):
     """Turn a ``child_handle()`` descriptor back into a writer."""
-    if isinstance(handle, MemoryRing):
-        return handle
     tag = handle[0]
     if tag == "shm":
         return ShmRing.attach(handle[1], handle[2])

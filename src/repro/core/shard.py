@@ -1,4 +1,4 @@
-"""Sharded parallel campaign engine with crash-tolerant execution.
+"""The campaign engine: sharded, crash-tolerant scan execution.
 
 The paper's scan covers the routable IPv4 space from one box; ZMap's
 cyclic-group permutation is what makes that embarrassingly parallel:
@@ -6,15 +6,21 @@ any strided slice of the permutation is itself a uniform sample of the
 space. This module partitions the campaign universe into ``N``
 deterministic shards — shard ``i`` probes ``universe[i::N]`` at
 ``rate/N`` — runs each shard as an independent :class:`Prober` +
-:class:`Network` discrete-event simulation (in a
-``ProcessPoolExecutor`` worker when the platform allows, in-process
-otherwise), and merges the per-shard captures and flows into a single
-:class:`CampaignResult`.
+:class:`Network` discrete-event simulation, and merges the per-shard
+captures and flows into a single :class:`CampaignResult`.
+
+:func:`run_sharded` is the only campaign executor. Every
+:meth:`Campaign.run <repro.core.campaign.Campaign.run>` goes through
+it: a one-worker campaign is shard 0 of 1, run in-process, exactly as
+ZMap's one-host scan is shard 0 of 1 of the same permuted walk. Each
+round runs its pending shards either in-process (:func:`run_shard`) or
+in forked children that ship result frames back over shared-memory or
+pipe rings (:func:`repro.core.multicore.run_multicore`).
 
 Determinism contract (see DESIGN.md §6): for a given
 ``(seed, scale, year)`` and ``loss_rate == 0`` the merged run renders
-Tables II–X byte-identically to the serial run, for any worker count.
-The guarantee holds because
+Tables II–X byte-identically at any worker count. The guarantee holds
+because
 
 - the population is sampled once per (seed, scale, year) from the full
   universe, identically in every worker, and each host lands in
@@ -24,40 +30,38 @@ The guarantee holds because
   server retains every installed cluster zone for exactly this reason:
   a reused subdomain must resolve the same whenever its Q2 lands);
 - each shard paces ``1/N`` of the probes at ``rate/N``, so the merged
-  scan spans the same wall clock as the serial scan;
+  scan spans the same wall clock as a one-shard scan;
 - analysis tables are order-independent: each shard mints qnames from
   a private slice of the cluster namespace (so merged flows union
   collision-free), and every analyzer sorts on content, never on
   arrival order.
 
-Per-shard randomness (latency draws, fault schedules) is seeded by the
-derivation rule ``derive_seed(seed, index, workers)`` — shards never
-replay each other's streams, and a *re-run* shard replays exactly its
-own. That second property is the failure-domain story: a shard worker
-that crashes or is killed is requeued up to
-``config.max_shard_retries`` times, and because the re-run is
-byte-identical, recovery is invisible in the merged tables. Shards
-that exhaust their retries are reported in the result's ``degraded``
-manifest instead of aborting the campaign, and every completed shard
-can be checkpointed to disk (``checkpoint_dir=``) so an interrupted
-campaign resumes by re-executing only the missing shards
+Per-shard randomness (latency draws, fault schedules) is seeded by
+:func:`shard_seed` — shards never replay each other's streams, and a
+*re-run* shard replays exactly its own. That second property is the
+failure-domain story: a shard that crashes or whose worker is killed
+is requeued up to ``config.max_shard_retries`` times, and because the
+re-run is byte-identical, recovery is invisible in the merged tables.
+Shards that exhaust their retries are reported in the result's
+``degraded`` manifest instead of aborting the campaign, and every
+completed shard can be checkpointed to disk (``checkpoint_dir=``) so an
+interrupted campaign resumes by re-executing only the missing shards
 (``resume=True``).
 
-With ``loss_rate > 0`` the sharded run is statistically, but not
-byte-for-byte, equivalent to the serial run (loss coin-flips land on
-different packets). The same holds for the stochastic parts of a fault
-profile — but blackholed addresses are identical at every worker
+With ``loss_rate > 0`` runs at different worker counts are
+statistically, but not byte-for-byte, equivalent (loss coin-flips land
+on different packets). The same holds for the stochastic parts of a
+fault profile — but blackholed addresses are identical at every worker
 count, because their selection hashes the address, not the shard.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
 import pathlib
-import pickle
+import time
 import warnings
 
 from repro.dnssrv.auth import QueryLogEntry
@@ -68,7 +72,7 @@ from repro.dnssrv.hierarchy import (
     build_hierarchy,
 )
 from repro.netsim.faults import build_injector, fault_profile
-from repro.netsim.ipv4 import int_to_ip
+from repro.netsim.ipv4 import ip_to_int
 from repro.netsim.latency import LogNormalLatency
 from repro.netsim.loss import BernoulliLoss
 from repro.netsim.network import Network
@@ -82,7 +86,7 @@ from repro.prober.probe import (
     merge_captures,
 )
 from repro.prober.subdomain import SubdomainScheme
-from repro.prober.zmap import probe_order
+from repro.prober.zmap import probe_list
 from repro.resolvers.apportion import scale_count
 from repro.resolvers.population import (
     PopulationSampler,
@@ -102,23 +106,33 @@ from repro.telemetry.hub import (
     maybe_span,
 )
 
-#: Chaos-testing hooks, read by every shard worker (the environment
-#: crosses the process boundary, so they work under both inline and
-#: pool execution). Format: ``"index:count,index:count"`` — shard
+#: Chaos-testing hooks, read by every shard (the environment crosses
+#: the process boundary, so they work in-process and in forked
+#: children alike). Format: ``"index:count,index:count"`` — shard
 #: ``index`` fails while its attempt number is below ``count``.
-#: ``REPRO_CHAOS_RAISE`` raises inside the worker (a crashing shard);
-#: ``REPRO_CHAOS_EXIT`` hard-kills the worker process with
-#: ``os._exit`` (a dying worker — only use under process parallelism,
-#: inline execution would take the whole interpreter down).
+#: ``REPRO_CHAOS_RAISE`` raises inside the shard (a crashing shard);
+#: ``REPRO_CHAOS_EXIT`` hard-kills the process with ``os._exit`` (a
+#: dying worker — only use under process parallelism, an in-process
+#: shard would take the whole interpreter down).
 CHAOS_RAISE_ENV = "REPRO_CHAOS_RAISE"
 CHAOS_EXIT_ENV = "REPRO_CHAOS_EXIT"
 
 
-class ShardExecutionError(RuntimeError):
-    """A shard worker failed.
+def shard_seed(seed: int, index: int, workers: int) -> int:
+    """The network seed of shard ``index`` of ``workers``.
 
-    Carries the shard coordinates and the derived seed so the failure
-    is reproducible from the message alone:
+    A one-shard campaign keeps the campaign seed itself, so a serial
+    scan's bytes do not depend on the engine running it — faults and
+    loss included; a real split derives one splitmix64 lane per shard.
+    """
+    return seed if workers == 1 else derive_seed(seed, index, workers)
+
+
+class ShardExecutionError(RuntimeError):
+    """A shard failed.
+
+    Carries the shard coordinates and its :func:`shard_seed` so the
+    failure is reproducible from the message alone:
     ``run_shard(ShardTask(config, index=i, workers=n))`` replays the
     exact simulation, faults included.
     """
@@ -140,14 +154,14 @@ class ShardExecutionError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class ShardTask:
-    """One worker's assignment: which slice of which campaign.
+    """One shard's assignment: which slice of which campaign.
 
-    Small by construction — workers rebuild the universe and the
-    population from the config instead of unpickling them, except for
-    an explicit ``population_override`` (an evolved world cannot be
-    re-derived from the seed). ``attempt`` counts previous failures of
-    this shard; it never feeds the seed derivation, so a requeued shard
-    re-runs byte-identically.
+    Small by construction — shards rebuild the universe and the
+    population from the config, except for an explicit
+    ``population_override`` (an evolved world cannot be re-derived from
+    the seed). ``attempt`` counts previous failures of this shard; it
+    never feeds the seed derivation, so a requeued shard re-runs
+    byte-identically.
     """
 
     config: "CampaignConfig"  # noqa: F821 - imported lazily to avoid a cycle
@@ -156,7 +170,7 @@ class ShardTask:
     population_override: SampledPopulation | None = None
     attempt: int = 0
     #: Optional observability config (picklable, crosses the process
-    #: boundary); the worker builds its own TelemetryHub from it and
+    #: boundary); the shard builds its own TelemetryHub from it and
     #: ships the snapshot back on the outcome. Deliberately not part
     #: of CampaignConfig — it never shapes shard bytes.
     telemetry: TelemetryConfig | None = None
@@ -218,10 +232,9 @@ def checkpoint_fingerprint(config) -> dict:
     """The config fields that shape shard bytes, for manifest matching.
 
     ``max_shard_retries`` is deliberately excluded: retrying harder is
-    a legitimate thing to change between a crash and its resume. So is
-    ``engine``: the pool and multicore engines produce byte-identical
-    shard outcomes, so a campaign checkpointed under one resumes under
-    the other.
+    a legitimate thing to change between a crash and its resume.
+    ``engine`` never shaped shard bytes and stays out too, so
+    checkpoints written before the engines merged still resume.
     """
     fingerprint = dataclasses.asdict(config)
     fingerprint.pop("max_shard_retries", None)
@@ -233,10 +246,9 @@ def checkpoint_fingerprint(config) -> dict:
 #: over the ZMap permutation is a pure function of (seed, year, scale)
 #: and every shard needs the *full* list (the population sampler draws
 #: host addresses across the whole universe), so recomputing it per
-#: worker is pure fixed cost. The multicore engine primes this slot
-#: before forking, and fork children inherit the materialized list for
-#: free. The cached list is never mutated — shards slice it, samplers
-#: read it.
+#: shard is pure fixed cost. Process rounds prime this slot before
+#: forking, and fork children inherit the materialized list for free.
+#: The cached list is never mutated — shards slice it, samplers read it.
 _universe_cache: tuple[tuple, list[int]] | None = None
 
 
@@ -247,8 +259,9 @@ def _campaign_universe(config) -> list[int]:
     if cached is not None and cached[0] == key:
         return cached[1]
     profile = profile_for_year(config.year)
-    q1_target = scale_count(profile.q1_full, config.scale)
-    universe = list(probe_order(seed=config.seed, limit=q1_target))
+    universe = probe_list(
+        seed=config.seed, limit=scale_count(profile.q1_full, config.scale)
+    )
     _universe_cache = (key, universe)
     return universe
 
@@ -258,34 +271,24 @@ def _campaign_universe(config) -> list[int]:
 #: population and its intel overlays are pure functions of the config
 #: (the infrastructure exclusion set is module constants), identical
 #: for every shard — and sampling walks the whole universe, so it is
-#: the other O(universe) fixed cost a worker would otherwise pay per
+#: the other O(universe) fixed cost a shard would otherwise pay per
 #: process. The cached state is read-only after construction: the
 #: transparent-forwarder overlay (the one in-place mutation) is
 #: applied exactly once before the value enters the cache, assignments
 #: and specs are frozen dataclasses, and ``deploy`` builds fresh
-#: per-network hosts — so shards in one process (inline engines) and
-#: fork children (multicore) can all share it without byte drift.
+#: per-network hosts — so shards in one process, the parent's
+#: follow-up world and fork children can all share it without drift.
 _world_cache: tuple[tuple, tuple] | None = None
 
 
-def _campaign_world(config, universe) -> tuple:
-    """(population, software_map, banners, validators) for ``config``."""
-    global _world_cache
-    key = (
-        config.seed, config.year, config.scale,
-        config.fingerprinting, config.dnssec,
-    )
-    cached = _world_cache
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    infrastructure = {ROOT_IP, TLD_IP, AUTH_IP, PROBER_IP}
-    population = PopulationSampler(
-        profile_for_year(config.year),
-        scale=config.scale,
-        seed=config.seed,
-        excluded_ips=infrastructure,
-        universe=universe,
-    ).sample()
+def _overlay_world(config, population: SampledPopulation) -> tuple:
+    """(population, software_map, banners, validators) for ``population``.
+
+    The intel overlays every world carries — software identities,
+    DNSSEC validators — plus the transparent-forwarder flips, which
+    rewrite ``population``'s specs in place. Each draws from its own
+    seeded lane, so the base sampling draws are untouched.
+    """
     software_map: dict[str, object] = {}
     banners: dict[str, str | None] = {}
     if config.fingerprinting:
@@ -300,11 +303,28 @@ def _campaign_world(config, universe) -> tuple:
         validators = assign_validators(
             population, year=config.year, seed=config.seed
         )
-    # Transparent-forwarder overlay, exactly as the serial engine
-    # applies it: an independent seeded lane, so every shard and the
-    # parent see the same hosts flipped to the same upstreams.
     assign_transparent_forwarders(population, seed=config.seed)
-    world = (population, software_map, banners, validators)
+    return population, software_map, banners, validators
+
+
+def _campaign_world(config, universe) -> tuple:
+    """(population, software_map, banners, validators) for ``config``."""
+    global _world_cache
+    key = (
+        config.seed, config.year, config.scale,
+        config.fingerprinting, config.dnssec,
+    )
+    cached = _world_cache
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    population = PopulationSampler(
+        profile_for_year(config.year),
+        scale=config.scale,
+        seed=config.seed,
+        excluded_ips={ROOT_IP, TLD_IP, AUTH_IP, PROBER_IP},
+        universe=universe,
+    ).sample()
+    world = _overlay_world(config, population)
     _world_cache = (key, world)
     return world
 
@@ -312,50 +332,65 @@ def _campaign_world(config, universe) -> tuple:
 def prime_shard_caches(config) -> None:
     """Materialize the config-pure shared state (universe + world).
 
-    The multicore engine calls this in the parent before forking so
-    children inherit both O(universe) artifacts — the permutation walk
-    and the sampled population — instead of recomputing them per
-    worker.
+    Called in the parent before forking so children inherit both
+    O(universe) artifacts — the permutation walk and the sampled
+    population — instead of recomputing them per worker.
     """
     _campaign_world(config, _campaign_universe(config))
 
 
-def _build_world(config, network: Network, universe, population_override=None):
-    """Hierarchy + full population + intel maps, as the serial run builds them.
+def _build_world(config, seed: int, population_override=None) -> tuple:
+    """One campaign world: network, hierarchy, population and intel.
 
-    Returns (hierarchy, population, software_map, banners, validators).
-    Deterministic in (seed, scale, year): every shard and the parent
-    compute identical worlds, so behavior does not depend on which
-    process deploys which host.
+    Returns (network, hierarchy, population, software_map, banners,
+    validators); nothing is deployed yet. Deterministic in (seed,
+    scale, year): every shard and the parent's follow-up world see the
+    same population, so behavior does not depend on which process
+    deploys which host. ``seed`` seeds the network only.
     """
+    network = Network(
+        seed=seed,
+        latency=LogNormalLatency(median=config.latency_median, sigma=0.5),
+        loss=BernoulliLoss(config.loss_rate) if config.loss_rate else None,
+    )
     hierarchy = build_hierarchy(network)
     if population_override is not None:
-        # An evolved world bypasses the cache: it is not derivable from
-        # the config, and its overlay was applied when it was built.
-        population = population_override
-        software_map: dict[str, object] = {}
-        banners: dict[str, str | None] = {}
-        if config.fingerprinting:
-            from repro.fingerprint.identities import assign_software
+        # An evolved world bypasses the cache: it is not derivable
+        # from the config. It shares assignment objects with the
+        # population it evolved from — often the cached world — and
+        # the transparent overlay rewrites specs in place, so the
+        # overlay runs on copies.
+        world = _overlay_world(config, dataclasses.replace(
+            population_override,
+            assignments=[
+                dataclasses.replace(assignment)
+                for assignment in population_override.assignments
+            ],
+        ))
+    else:
+        world = _campaign_world(config, _campaign_universe(config))
+    return (network, hierarchy, *world)
 
-            software_map = assign_software(population, seed=config.seed)
-            banners = {
-                ip: identity.banner
-                for ip, identity in software_map.items()
-            }
-        validators: set[str] = set()
-        if config.dnssec:
-            from repro.dnssec.census import assign_validators
 
-            validators = assign_validators(
-                population, year=config.year, seed=config.seed
-            )
-        assign_transparent_forwarders(population, seed=config.seed)
-        return hierarchy, population, software_map, banners, validators
-    population, software_map, banners, validators = _campaign_world(
-        config, universe
+def _hosts_in_slice(
+    population: SampledPopulation, addresses: list[int]
+) -> SampledPopulation:
+    """``population`` restricted to the hosts the shard's slice probes.
+
+    Intersects the hosts' integer addresses (thousands) with the slice
+    (up to millions) in one C-level pass.
+    """
+    assignments = population.assignments
+    values = [ip_to_int(assignment.ip) for assignment in assignments]
+    present = set(values).intersection(addresses)
+    return dataclasses.replace(
+        population,
+        assignments=[
+            assignment
+            for assignment, value in zip(assignments, values)
+            if value in present
+        ],
     )
-    return hierarchy, population, software_map, banners, validators
 
 
 def _chaos_fail_count(env_name: str, index: int) -> int:
@@ -375,11 +410,11 @@ def _dump_flight_recorder(
 ) -> None:
     """Post-mortem: write the shard's last-N wire events to disk.
 
-    Fires when a shard worker fails or a chaos hook raises; a
-    hard-killed worker (``REPRO_CHAOS_EXIT``) gets no dump — nothing
-    survives ``os._exit``, which is the point of that chaos mode.
-    Dump failures are swallowed: post-mortem telemetry must never turn
-    a recoverable shard crash into an unrecoverable one.
+    Fires when a shard fails or a chaos hook raises; a hard-killed
+    worker (``REPRO_CHAOS_EXIT``) gets no dump — nothing survives
+    ``os._exit``, which is the point of that chaos mode. Dump failures
+    are swallowed: post-mortem telemetry must never turn a recoverable
+    shard crash into an unrecoverable one.
     """
     if hub is None or hub.config.flight_dump_dir is None:
         return
@@ -394,22 +429,19 @@ def _dump_flight_recorder(
 
 
 def run_shard(task: ShardTask, event_batch: int | None = None) -> ShardOutcome:
-    """Execute one shard's scan to completion (worker entry point).
+    """Execute one shard's scan to completion.
 
-    Top-level and argument-picklable so it can run under
-    ``ProcessPoolExecutor`` with either the fork or spawn start method.
     Any failure is re-raised as :class:`ShardExecutionError` carrying
-    the shard index and derived seed, so the crash is reproducible from
-    the error message alone. When the task carries a telemetry config
-    with a ``flight_dump_dir``, any failure (chaos hooks included) also
+    the shard index and seed, so the crash is reproducible from the
+    error message alone. When the task carries a telemetry config with
+    a ``flight_dump_dir``, any failure (chaos hooks included) also
     dumps the shard's flight-recorder window there for post-mortem.
 
-    ``event_batch`` (the multicore engine's batched-dispatch knob)
-    drains the scheduler in fixed-size event batches; the event order —
-    and therefore every shipped byte — is identical to the unbounded
-    drain.
+    ``event_batch`` (set by forked workers) drains the scheduler in
+    fixed-size event batches; the event order — and therefore every
+    shipped byte — is identical to the unbounded drain.
     """
-    shard_seed = derive_seed(task.config.seed, task.index, task.workers)
+    seed = shard_seed(task.config.seed, task.index, task.workers)
     hub: TelemetryHub | None = None
     if task.telemetry is not None and task.telemetry.enabled:
         hub = TelemetryHub(task.telemetry)
@@ -418,65 +450,59 @@ def run_shard(task: ShardTask, event_batch: int | None = None) -> ShardOutcome:
             hub, task, f"injected chaos failure ({CHAOS_RAISE_ENV})"
         )
         raise ShardExecutionError(
-            task.index, task.workers, shard_seed,
+            task.index, task.workers, seed,
             f"injected chaos failure ({CHAOS_RAISE_ENV})",
         )
     if task.attempt < _chaos_fail_count(CHAOS_EXIT_ENV, task.index):
         os._exit(13)
     try:
-        return _run_shard_scan(task, shard_seed, hub, event_batch=event_batch)
+        return _run_shard_scan(task, seed, hub, event_batch=event_batch)
     except ShardExecutionError as exc:
         _dump_flight_recorder(hub, task, str(exc))
         raise
     except Exception as exc:
         _dump_flight_recorder(hub, task, f"{type(exc).__name__}: {exc}")
         raise ShardExecutionError(
-            task.index, task.workers, shard_seed,
+            task.index, task.workers, seed,
             f"{type(exc).__name__}: {exc}",
         ) from exc
 
 
 def _run_shard_scan(
     task: ShardTask,
-    shard_seed: int,
+    seed: int,
     hub: TelemetryHub | None = None,
     event_batch: int | None = None,
 ) -> ShardOutcome:
     config = task.config
     profile = profile_for_year(config.year)
-    loss = BernoulliLoss(config.loss_rate) if config.loss_rate else None
-    network = Network(
-        seed=shard_seed,
-        latency=LogNormalLatency(median=config.latency_median, sigma=0.5),
-        loss=loss,
+    network, hierarchy, population, _, banners, validators = _build_world(
+        config, seed, task.population_override
     )
     if hub is not None:
         hub.tracer.clock = lambda: network.scheduler.now
-    universe = _campaign_universe(config)
-    hierarchy, population, _, banners, validators = _build_world(
-        config, network, universe, task.population_override
-    )
     network.attach_faults(
         build_injector(
             config.fault_profile, config.seed, task.index, task.workers,
+            # The shared forwarder upstreams are infrastructure too:
+            # blackholing one would silently convert its whole
+            # transparent fan-in into unresponsive hosts.
             exempt={
                 hierarchy.root.ip, hierarchy.tld.ip, hierarchy.auth.ip,
                 PROBER_IP, *profile.forwarder_upstreams,
             },
         )
     )
-    addresses = shard_universe(universe, task.index, task.workers)
+    universe = _campaign_universe(config)
+    if task.workers == 1:
+        # The one shard probes the whole universe, which every host
+        # was drawn from: no slice to copy, no hosts to pick.
+        addresses, local = universe, population
+    else:
+        addresses = shard_universe(universe, task.index, task.workers)
+        local = _hosts_in_slice(population, addresses)
     cluster_base, cluster_limit = cluster_namespace_slice(
         task.index, task.workers
-    )
-    slice_ips = {int_to_ip(address) for address in addresses}
-    local = dataclasses.replace(
-        population,
-        assignments=[
-            assignment
-            for assignment in population.assignments
-            if assignment.ip in slice_ips
-        ],
     )
     local.deploy(
         network, auth_ip=hierarchy.auth.ip, version_banners=banners,
@@ -497,7 +523,7 @@ def _run_shard_scan(
         seed=config.seed,
         sld=hierarchy.sld,
         record_sent_log=config.record_sent_log,
-        addresses=tuple(addresses),
+        addresses=addresses,
         cluster_base=cluster_base,
         cluster_limit=cluster_limit,
         retry=config.retry_policy(),
@@ -549,7 +575,7 @@ def _run_shard_scan(
             on_batch = sink.flush
     with maybe_span(
         hub, "shard", index=task.index, workers=task.workers,
-        attempt=task.attempt, seed=shard_seed,
+        attempt=task.attempt, seed=seed,
     ):
         capture = prober.run(event_batch=event_batch, on_batch=on_batch)
     if hub is not None:
@@ -571,14 +597,13 @@ def _run_shard_scan(
         flow_set = FlowSet(flows={}, unjoinable=[])
         query_log: list[QueryLogEntry] = []
     else:
-        flow_set = join_flows(capture.r2_records, hierarchy.auth)
-        # The shard's world dies with this function, so the log needs no
-        # defensive copy before shipping (unlike the serial path, whose
-        # auth server keeps appending during follow-up scans). With
-        # retention opted out it is not shipped at all.
-        query_log = (
-            hierarchy.auth.query_log if config.retain_query_log else []
-        )
+        # The shard's world dies with this function, so the log needs
+        # no defensive copy before shipping. With retention opted out
+        # it is not shipped at all.
+        query_log = hierarchy.auth.query_log
+        flow_set = join_flows(capture.r2_records, query_log)
+        if not config.retain_query_log:
+            query_log = []
     return ShardOutcome(
         index=task.index,
         capture=capture,
@@ -590,85 +615,94 @@ def _run_shard_scan(
     )
 
 
-def _supports_process_pool() -> bool:
+def _start_methods() -> list[str]:
     try:
-        return bool(multiprocessing.get_all_start_methods())
+        return multiprocessing.get_all_start_methods()
     except Exception:  # pragma: no cover - exotic platforms
+        return []
+
+
+def _use_processes(
+    parallelism: str, workers: int, population_override
+) -> bool:
+    """Whether the rounds of a ``workers``-shard campaign fork children.
+
+    ``"process"`` forces children, ``"inline"`` forces in-process
+    shards, ``"auto"`` forks whenever there is more than one shard and
+    the platform can start processes. An evolved ``population_override``
+    cannot ride the scalar wire, so it needs fork inheritance: without
+    fork, ``"auto"`` runs inline (announced) and ``"process"`` refuses.
+    """
+    if parallelism == "inline":
         return False
+    if parallelism == "auto" and (workers == 1 or not _start_methods()):
+        return False
+    if population_override is not None and "fork" not in _start_methods():
+        if parallelism == "process":
+            raise ValueError(
+                "population_override needs the fork start method (it "
+                "cannot ride the scalar wire); use parallelism='inline'"
+            )
+        warnings.warn(
+            "population_override cannot cross a non-fork process boundary; "
+            "shard rounds running inline",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return False
+    return True
 
 
 def _note_pool_fallback(reason: str, hub: TelemetryHub | None) -> None:
-    """A "parallel" round is about to run serially — say so, loudly once.
+    """A "parallel" round is about to run in-process — say so, once.
 
     The inline result is byte-identical, but the wall-clock expectation
-    is not: a user who asked for N workers should know the pool was
-    unavailable. Counted on ``campaign.pool_fallbacks`` when telemetry
-    is on, and surfaced as a one-line RuntimeWarning either way.
+    is not: a user who asked for N workers should know the children
+    could not start. Counted on ``campaign.pool_fallbacks`` when
+    telemetry is on, and surfaced as a one-line RuntimeWarning either
+    way.
     """
     if hub is not None:
         hub.registry.counter("campaign.pool_fallbacks").inc()
     warnings.warn(
-        f"process pool unavailable ({reason}); shard round running inline "
-        "in one process (results are identical, wall clock is not)",
+        f"worker processes unavailable ({reason}); shard round running "
+        "inline in one process (results are identical, wall clock is not)",
         RuntimeWarning,
         stacklevel=3,
     )
 
 
-def _run_tasks(
-    tasks: list[ShardTask], parallelism: str, hub: TelemetryHub | None = None
-) -> list[tuple[ShardTask, "ShardOutcome | BaseException"]]:
-    """Run one round of shard tasks, capturing per-shard failures.
-
-    Returns (task, outcome-or-exception) pairs — a failed shard never
-    aborts its siblings; the recovery loop in :func:`run_sharded`
-    decides whether to requeue it. ``parallelism``: ``"process"``
-    forces the pool, ``"inline"`` forces in-process execution,
-    ``"auto"`` picks the pool when the platform has one and more than
-    one task exists. A worker killed outright breaks the whole
-    ``ProcessPoolExecutor`` — every task still in flight surfaces as
-    ``BrokenExecutor`` and is retried in a fresh pool on the next
-    round. Pool failures that predate any shard work (sandboxed
-    semaphores, unpicklable overrides) fall back to inline execution —
-    the result is identical either way, and the fallback is announced
-    via :func:`_note_pool_fallback`.
-    """
-    use_pool = parallelism == "process" or (
-        parallelism == "auto" and len(tasks) > 1 and _supports_process_pool()
-    )
-    if use_pool:
+def _run_round_inline(
+    config,
+    pending: list[int],
+    attempts: dict[int, int],
+    population_override,
+    telemetry_config,
+    stats: dict,
+) -> tuple[dict[int, ShardOutcome], dict[int, BaseException]]:
+    """Run one round's shards in this process, one after another."""
+    stats["transport"] = "inline"
+    outcomes: dict[int, ShardOutcome] = {}
+    errors: dict[int, BaseException] = {}
+    for index in pending:
+        task = ShardTask(
+            config=config,
+            index=index,
+            workers=config.workers,
+            population_override=population_override,
+            attempt=attempts[index],
+            telemetry=telemetry_config,
+        )
+        busy_start = time.process_time()
         try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(len(tasks), max(1, os.cpu_count() or 1))
-            ) as pool:
-                futures = {pool.submit(run_shard, task): task for task in tasks}
-                results = []
-                unpicklable = False
-                for future in concurrent.futures.as_completed(futures):
-                    task = futures[future]
-                    try:
-                        results.append((task, future.result()))
-                    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-                        # The task could not cross the process boundary;
-                        # a pool retry would fail forever.
-                        unpicklable = True
-                        results.append((task, exc))
-                    except BaseException as exc:
-                        results.append((task, exc))
-                if not (unpicklable and parallelism == "auto"):
-                    return results
-            _note_pool_fallback("task not picklable", hub)
-        except (OSError, pickle.PicklingError, concurrent.futures.BrokenExecutor) as exc:
-            if parallelism == "process":
-                raise
-            _note_pool_fallback(f"{type(exc).__name__}: {exc}", hub)
-    results = []
-    for task in tasks:
-        try:
-            results.append((task, run_shard(task)))
+            outcomes[index] = run_shard(task)
         except Exception as exc:
-            results.append((task, exc))
-    return results
+            errors[index] = exc
+            continue
+        stats["worker_busy_s"][index] = round(
+            time.process_time() - busy_start, 6
+        )
+    return outcomes, errors
 
 
 def run_sharded(
@@ -681,28 +715,38 @@ def run_sharded(
 ) -> "CampaignResult":  # noqa: F821
     """Run a campaign as ``config.workers`` shards and merge the results.
 
-    The merged :class:`CampaignResult` carries a live parent world —
-    population deployed on a (never-scanned) parent network — so
-    follow-up scans (fingerprinting, DNSSEC census) work exactly as
-    they do on a serial result.
+    The merged :class:`CampaignResult` carries a live follow-up world —
+    the population deployed on a never-scanned network — so follow-up
+    scans (fingerprinting, DNSSEC census) work at any worker count.
 
-    Failure domains: a shard whose worker raises or dies is requeued
-    with the same derived seed up to ``config.max_shard_retries``
+    ``parallelism`` (see :func:`_use_processes`) picks how each round
+    runs its pending shards: in this process through
+    :func:`run_shard`, or in forked children through
+    :func:`repro.core.multicore.run_multicore`. If children cannot
+    start, ``"auto"`` warns once, counts ``campaign.pool_fallbacks``
+    and runs that round and the rest inline; ``"process"`` re-raises.
+
+    Failure domains: a shard that raises or whose worker dies is
+    requeued with the same seed up to ``config.max_shard_retries``
     times (the re-run is byte-identical, so recovery cannot skew the
     tables). With ``checkpoint_dir`` every completed shard is persisted
-    as it finishes and ``resume=True`` re-executes only the shards
-    missing from that directory. Shards that exhaust their retries are
-    recorded in the result's ``degraded`` manifest — which shards, how
-    many probes went unexecuted — instead of raising; only a campaign
-    with *zero* surviving shards raises :class:`ShardExecutionError`.
+    as it lands and ``resume=True`` re-executes only the shards missing
+    from that directory. Shards that exhaust their retries are recorded
+    in the result's ``degraded`` manifest — which shards, how many
+    probes went unexecuted — instead of raising; only a campaign with
+    *zero* surviving shards raises :class:`ShardExecutionError`.
 
     ``telemetry`` (a :class:`~repro.telemetry.hub.TelemetryConfig` or
-    :class:`~repro.telemetry.hub.TelemetryHub`) instruments every shard
-    worker: each runs its own hub and ships a mergeable snapshot back
-    on its outcome; the parent folds them (counters add, shard spans
-    nest under the parent trace, heartbeats are shard-tagged) and the
-    merged snapshot lands on ``result.telemetry``. A failing worker
-    with a configured ``flight_dump_dir`` dumps its flight recorder.
+    :class:`~repro.telemetry.hub.TelemetryHub`) instruments every
+    shard: each runs its own hub and ships a mergeable snapshot back on
+    its outcome; the parent folds them (counters add, shard spans nest
+    under the parent trace, heartbeats are shard-tagged) and the merged
+    snapshot lands on ``result.telemetry``. A failing shard with a
+    configured ``flight_dump_dir`` dumps its flight recorder.
+
+    The result's ``engine_stats`` records the transport (``inline``,
+    ``shm`` or ``pipe``), rounds, frames and bytes shipped, and per
+    shard its CPU-busy seconds and probe count.
     """
     if parallelism not in ("auto", "process", "inline"):
         raise ValueError(f"unknown parallelism mode: {parallelism!r}")
@@ -726,41 +770,66 @@ def run_sharded(
     if checkpoint_dir is not None:
         from repro.datasets.store import save_shard_checkpoint
 
+    use_processes = _use_processes(parallelism, workers, population_override)
+    if use_processes and population_override is None:
+        # Fork children inherit the primed universe walk and sampled
+        # world instead of each paying the O(universe) setup again.
+        prime_shard_caches(config)
     pending = [index for index in range(workers) if index not in completed]
     attempts = dict.fromkeys(pending, 0)
     failures: dict[int, tuple[int, BaseException]] = {}
+    stats: dict = {
+        "transport": None,
+        "workers": workers,
+        "rounds": 0,
+        "resumed_shards": len(completed),
+        "frames": 0,
+        "bytes_shipped": 0,
+        "compact_frames": 0,
+        "pickle_frames": 0,
+        "worker_busy_s": {},
+        "worker_q1": {},
+    }
+    telemetry_config = hub.config if hub is not None else None
     with maybe_span(
         hub, "shard_execution", workers=workers,
         resumed=len(completed), pending=len(pending),
     ):
         while pending:
-            tasks = [
-                ShardTask(
-                    config=config,
-                    index=index,
-                    workers=workers,
-                    population_override=population_override,
-                    attempt=attempts[index],
-                    telemetry=hub.config if hub is not None else None,
-                )
-                for index in pending
-            ]
+            stats["rounds"] += 1
+            round_args = (
+                config, pending, attempts, population_override,
+                telemetry_config, stats,
+            )
+            if use_processes:
+                from repro.core.multicore import run_multicore
+
+                try:
+                    outcomes, errors = run_multicore(*round_args)
+                except OSError as exc:
+                    if parallelism == "process":
+                        raise
+                    _note_pool_fallback(f"{type(exc).__name__}: {exc}", hub)
+                    use_processes = False
+            if not use_processes:
+                outcomes, errors = _run_round_inline(*round_args)
+            for index in sorted(outcomes):
+                completed[index] = outcomes[index]
+                if checkpoint_dir is not None:
+                    save_shard_checkpoint(
+                        checkpoint_dir, fingerprint, index, outcomes[index]
+                    )
             requeue = []
-            for task, result in _run_tasks(tasks, parallelism, hub):
-                if isinstance(result, ShardOutcome):
-                    completed[result.index] = result
-                    if checkpoint_dir is not None:
-                        save_shard_checkpoint(
-                            checkpoint_dir, fingerprint, result.index, result
-                        )
-                    continue
-                attempts[task.index] += 1
+            for index in sorted(errors):
+                if index in outcomes:
+                    continue  # a retry raced a late frame; outcome wins
+                attempts[index] += 1
                 if hub is not None:
                     hub.registry.counter("campaign.shard_attempts_failed").inc()
-                if attempts[task.index] > config.max_shard_retries:
-                    failures[task.index] = (attempts[task.index], result)
+                if attempts[index] > config.max_shard_retries:
+                    failures[index] = (attempts[index], errors[index])
                 else:
-                    requeue.append(task.index)
+                    requeue.append(index)
             pending = sorted(requeue)
         if hub is not None:
             # Fold every shard's snapshot (resumed checkpoints included;
@@ -769,9 +838,14 @@ def run_sharded(
                 hub.merge_snapshot(
                     getattr(completed[index], "telemetry", None), shard=index
                 )
-    return finalize_outcomes(
+    result = finalize_outcomes(
         config, completed, failures, population_override, hub
     )
+    stats["worker_q1"] = {
+        index: completed[index].capture.q1_sent for index in sorted(completed)
+    }
+    result.engine_stats = stats
+    return result
 
 
 def finalize_outcomes(
@@ -783,12 +857,10 @@ def finalize_outcomes(
 ) -> "CampaignResult":  # noqa: F821
     """Merge completed shard outcomes into a :class:`CampaignResult`.
 
-    The single finalization path shared by both execution engines
-    (:func:`run_sharded` and :func:`repro.core.multicore.run_multicore`):
-    whatever transported the outcomes — pickles through a pool, compact
-    frames through a ring — the merge, the parent-world rebuild, the
-    analysis dispatch and the degraded-manifest accounting are this one
-    function, so the engines cannot drift apart byte-wise.
+    Whatever carried the outcomes — a return value, compact frames
+    through a ring, a checkpoint on disk — the merge, the follow-up
+    world, the analysis dispatch and the degraded-manifest accounting
+    are this one function.
     """
     from repro.core.campaign import (
         Campaign,
@@ -800,7 +872,7 @@ def finalize_outcomes(
     if not completed:
         index, (tries, error) = sorted(failures.items())[0]
         raise ShardExecutionError(
-            index, workers, derive_seed(config.seed, index, workers),
+            index, workers, shard_seed(config.seed, index, workers),
             f"all {workers} shard(s) failed after {tries} attempt(s); "
             f"first error: {error}",
         )
@@ -818,23 +890,16 @@ def finalize_outcomes(
         query_log = [
             entry for outcome in outcomes for entry in outcome.query_log
         ]
-    loss = BernoulliLoss(config.loss_rate) if config.loss_rate else None
-    network = Network(
-        seed=config.seed,
-        latency=LogNormalLatency(median=config.latency_median, sigma=0.5),
-        loss=loss,
-    )
-    universe = _campaign_universe(config)
     with maybe_span(hub, "build_parent_world"):
-        hierarchy, population, software_map, banners, validators = _build_world(
-            config, network, universe, population_override
+        network, hierarchy, population, software_map, banners, validators = (
+            _build_world(config, config.seed, population_override)
         )
         population.deploy(
             network, auth_ip=hierarchy.auth.ip, version_banners=banners,
             dnssec_validators=validators,
         )
-        # Follow-up scans against the parent world (fingerprinting, the
-        # DNSSEC censuses) must see the upstreams a serial network has.
+        # Follow-up scans against this world (fingerprinting, the
+        # DNSSEC censuses) must see the forwarder upstreams too.
         deploy_forwarder_upstreams(
             network, population.profile, hierarchy.auth.ip
         )
@@ -865,10 +930,11 @@ def finalize_outcomes(
         hub.registry.counter("campaign.shards_failed").inc(len(failures))
         result.telemetry = hub.snapshot()
     if failures:
+        universe = _campaign_universe(config)
         records = [
             ShardFailureRecord(
                 index=index,
-                seed=derive_seed(config.seed, index, workers),
+                seed=shard_seed(config.seed, index, workers),
                 attempts=tries,
                 probes_lost=len(shard_universe(universe, index, workers)),
                 error=str(error),

@@ -11,12 +11,13 @@ Q1, Q2, R1 and R2 per probe using the qname, the paper's join key.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable
 
 from repro.dnslib.buffer import DnsWireError, WireReader
 from repro.dnslib.constants import QueryType
 from repro.dnslib.message import DnsFlags
 from repro.dnslib.wire import decode_message
-from repro.dnssrv.auth import AuthoritativeServer
+from repro.dnssrv.auth import QueryLogEntry
 
 #: Answer-form labels used by the Table VII classification.
 FORM_IP = "ip"
@@ -235,15 +236,15 @@ class IncrementalJoin:
 
 def join_flows(
     r2_records: list[R2Record],
-    auth: AuthoritativeServer | None = None,
+    query_log: Iterable[QueryLogEntry] = (),
 ) -> FlowSet:
-    """Join captured packets into per-probe flows on the qname key."""
+    """Join captured packets and auth query-log entries into per-probe
+    flows on the qname key."""
     join = IncrementalJoin()
     for record in r2_records:
         join.add_record(record)
-    if auth is not None:
-        for entry in auth.query_log:
-            join.add_query(entry.timestamp, entry.qname)
+    for entry in query_log:
+        join.add_query(entry.timestamp, entry.qname)
     return join.result()
 
 

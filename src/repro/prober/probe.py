@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from collections import deque
+from collections.abc import Sequence
 from itertools import islice
 
 from repro.dnslib.fastwire import Q1Template, peek_qname
@@ -113,7 +114,7 @@ class ProbeConfig:
     sld: str = "ucfsealresearch.net"
     record_sent_log: bool = False
     blocklist: tuple[str, ...] = ()
-    addresses: tuple[int, ...] | None = None
+    addresses: Sequence[int] | None = None
     cluster_base: int = 0
     cluster_limit: int | None = None
     retry: RetryPolicy = RetryPolicy()

@@ -1,18 +1,18 @@
-"""Cross-engine conformance: pool vs multicore, byte for byte.
+"""Transport conformance: in-process vs forked rounds, byte for byte.
 
-The multicore engine changes *everything* about execution — process
-topology, wire format, dispatch granularity — and *nothing* about the
-measurement: for a fixed config, every worker count and both engines
-must render the serial report byte-identically, under clean and
-bursty-fault profiles, through mid-campaign interruption and resume,
-and across engines sharing one checkpoint directory (the fingerprint
-deliberately excludes the ``engine`` field).
+Every campaign runs through :func:`run_sharded`, whose rounds run their
+shards either in this process (``parallelism="inline"``) or in forked
+children that ship result frames over shared-memory or pipe rings
+(``parallelism="process"``, the ``repro.core.multicore`` transport).
+The second changes *everything* about execution — process topology,
+wire format, dispatch granularity — and *nothing* about the
+measurement: for a fixed config, every worker count and both
+transports must render the serial report byte-identically, under clean
+and bursty-fault profiles, through mid-campaign interruption and
+resume, and across transports sharing one checkpoint directory.
 
-The worker-count matrix runs the multicore engine in-process
-(``parallelism="inline"``) — which still routes every outcome through
-the ring + codec wire path — so the suite stays fast on small CI
-boxes; real child processes and both ring transports get dedicated
-cases at one representative worker count.
+Test names keep the engines' historical names: "multicore" is the
+process transport, "pool" the in-process reference it is compared with.
 """
 
 import dataclasses
@@ -20,7 +20,6 @@ import dataclasses
 import pytest
 
 from repro.core import Campaign, CampaignConfig
-from repro.core.multicore import run_multicore
 from repro.core.shard import (
     CHAOS_RAISE_ENV,
     checkpoint_fingerprint,
@@ -39,16 +38,12 @@ def _config(**overrides):
     return dataclasses.replace(BASE, **overrides)
 
 
-def _pool(**overrides):
-    config = _config(**overrides)
-    if config.workers > 1:
-        return run_sharded(config, parallelism="inline")
-    return Campaign(config).run()
+def _inline(**overrides):
+    return run_sharded(_config(**overrides), parallelism="inline")
 
 
-def _multicore(parallelism="inline", ring="auto", **overrides):
-    config = _config(engine="multicore", **overrides)
-    return run_multicore(config, parallelism=parallelism, ring=ring)
+def _process(**overrides):
+    return run_sharded(_config(**overrides), parallelism="process")
 
 
 def _assert_same_tables(result, reference):
@@ -59,17 +54,26 @@ def _assert_same_tables(result, reference):
 
 @pytest.fixture(scope="module")
 def serial_batch():
-    return _pool()
+    return Campaign(BASE).run()
 
 
 class TestCleanProfileMatrix:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_inline_matches_serial(self, serial_batch, workers):
+        _assert_same_tables(_inline(workers=workers), serial_batch)
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_multicore_matches_serial(self, serial_batch, workers):
-        _assert_same_tables(_multicore(workers=workers), serial_batch)
+        _assert_same_tables(_process(workers=workers), serial_batch)
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_inline_stream_matches_serial(self, serial_batch, workers):
+        streamed = _inline(workers=workers, mode="stream", drop_captures=True)
+        _assert_same_tables(streamed, serial_batch)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_multicore_stream_matches_serial(self, serial_batch, workers):
-        streamed = _multicore(
+        streamed = _process(
             workers=workers, mode="stream", drop_captures=True
         )
         _assert_same_tables(streamed, serial_batch)
@@ -77,29 +81,30 @@ class TestCleanProfileMatrix:
 
 class TestBurstyProfileMatrix:
     # Worker counts are distinct populations under faults (loss lands
-    # per-shard, on the shard-derived seed — workers=1 sharded differs
-    # from the serial run too), so the reference is the pool *sharded*
-    # engine at the same worker count, never the serial run.
+    # per-shard, on the shard's own seed), so the reference is the
+    # in-process run at the same worker count, never the one-shard run.
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_multicore_matches_pool_same_workers(self, workers):
-        config = _config(fault_profile="bursty", workers=workers)
-        pool = run_sharded(config, parallelism="inline")
-        multicore = _multicore(fault_profile="bursty", workers=workers)
-        _assert_same_tables(multicore, pool)
+        inline = _inline(fault_profile="bursty", workers=workers)
+        forked = _process(fault_profile="bursty", workers=workers)
+        _assert_same_tables(forked, inline)
 
 
 class TestProcessTransports:
     @pytest.mark.parametrize("ring", ["shm", "pipe"])
-    def test_child_processes_match_serial(self, serial_batch, ring):
-        result = _multicore(parallelism="process", ring=ring, workers=4)
+    def test_child_processes_match_serial(
+        self, serial_batch, monkeypatch, ring
+    ):
+        if ring == "pipe":
+            monkeypatch.setattr(
+                "repro.core.ringbuf.shared_memory_available", lambda: False
+            )
+        result = _process(workers=4)
         assert result.engine_stats["transport"] == ring
         _assert_same_tables(result, serial_batch)
 
     def test_stream_compact_frames_over_processes(self, serial_batch):
-        result = _multicore(
-            parallelism="process", workers=4,
-            mode="stream", drop_captures=True,
-        )
+        result = _process(workers=4, mode="stream", drop_captures=True)
         assert result.engine_stats["compact_frames"] == 4
         _assert_same_tables(result, serial_batch)
 
@@ -110,13 +115,12 @@ class TestResumeMidCampaign:
         self, monkeypatch, tmp_path, profile
     ):
         config = _config(
-            engine="multicore", fault_profile=profile,
-            workers=4, max_shard_retries=0,
+            fault_profile=profile, workers=4, max_shard_retries=0,
         )
         checkpoint_dir = tmp_path / "ckpt"
         monkeypatch.setenv(CHAOS_RAISE_ENV, "3:99")
-        interrupted = run_multicore(
-            config, parallelism="inline", checkpoint_dir=checkpoint_dir
+        interrupted = run_sharded(
+            config, parallelism="process", checkpoint_dir=checkpoint_dir
         )
         assert interrupted.degraded is not None
         saved = load_shard_checkpoints(
@@ -125,22 +129,22 @@ class TestResumeMidCampaign:
         assert sorted(saved) == [0, 1, 2]
 
         monkeypatch.delenv(CHAOS_RAISE_ENV)
-        resumed = run_multicore(
+        resumed = run_sharded(
             config,
-            parallelism="inline",
+            parallelism="process",
             checkpoint_dir=checkpoint_dir,
             resume=True,
         )
         assert resumed.degraded is None
         assert resumed.engine_stats["resumed_shards"] == 3
-        full = _pool(fault_profile=profile, workers=4)
+        full = _inline(fault_profile=profile, workers=4)
         _assert_same_tables(resumed, full)
 
 
 class TestCheckpointInterchange:
-    """One checkpoint directory, two engines: the fingerprint excludes
-    ``engine``, so shards written by either engine resume under the
-    other."""
+    """One checkpoint directory, two transports: shards written by
+    in-process rounds resume under forked ones and the other way
+    round."""
 
     def test_pool_checkpoints_resume_under_multicore(
         self, monkeypatch, tmp_path
@@ -152,14 +156,14 @@ class TestCheckpointInterchange:
             config, parallelism="inline", checkpoint_dir=checkpoint_dir
         )
         monkeypatch.delenv(CHAOS_RAISE_ENV)
-        resumed = run_multicore(
-            dataclasses.replace(config, engine="multicore"),
-            parallelism="inline",
+        resumed = run_sharded(
+            config,
+            parallelism="process",
             checkpoint_dir=checkpoint_dir,
             resume=True,
         )
         assert resumed.degraded is None
-        _assert_same_tables(resumed, _pool(workers=4))
+        _assert_same_tables(resumed, _inline(workers=4))
 
     def test_multicore_checkpoints_resume_under_pool(
         self, monkeypatch, tmp_path
@@ -167,10 +171,8 @@ class TestCheckpointInterchange:
         config = _config(workers=4, max_shard_retries=0)
         checkpoint_dir = tmp_path / "ckpt"
         monkeypatch.setenv(CHAOS_RAISE_ENV, "2:99")
-        run_multicore(
-            dataclasses.replace(config, engine="multicore"),
-            parallelism="inline",
-            checkpoint_dir=checkpoint_dir,
+        run_sharded(
+            config, parallelism="process", checkpoint_dir=checkpoint_dir
         )
         monkeypatch.delenv(CHAOS_RAISE_ENV)
         resumed = run_sharded(
@@ -180,4 +182,4 @@ class TestCheckpointInterchange:
             resume=True,
         )
         assert resumed.degraded is None
-        _assert_same_tables(resumed, _pool(workers=4))
+        _assert_same_tables(resumed, _inline(workers=4))

@@ -6,9 +6,9 @@ hold simultaneously:
 * **off** — the default ladder, every report and golden pin, is
   byte-identical to a build that has never heard of policies;
 * **on** — the extended ladder's decisions are a pure function of the
-  seed: serial batch, sharded pool (any worker count), streaming, and
-  the multicore engine all render byte-identical matrices and policy
-  decision tables.
+  seed: one shard or many, in-process or forked rounds, batch or
+  streaming, all render byte-identical matrices and policy decision
+  tables.
 
 Golden pins freeze the policy cells at the seed-3 reference config, the
 same convention as ``test_attack_determinism``: a drift means a rule,
@@ -26,8 +26,7 @@ from repro.attacks import (
     render_attack_matrix,
     run_attack_matrix,
 )
-from repro.core import Campaign, CampaignConfig
-from repro.core.multicore import run_multicore
+from repro.core import CampaignConfig
 from repro.core.shard import run_sharded
 
 SCALE = 65536
@@ -41,13 +40,8 @@ def _config(**overrides):
     return dataclasses.replace(BASE, **overrides)
 
 
-def _run(**overrides):
-    config = _config(**overrides)
-    if config.engine == "multicore":
-        return run_multicore(config, parallelism="inline")
-    if config.workers > 1:
-        return run_sharded(config, parallelism="inline")
-    return Campaign(config).run()
+def _run(parallelism="inline", **overrides):
+    return run_sharded(_config(**overrides), parallelism=parallelism)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +88,7 @@ class TestCrossEngineEquivalence:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_multicore_matches_serial(self, serial_batch, workers):
         self._assert_same(
-            _run(engine="multicore", workers=workers), serial_batch
+            _run(parallelism="process", workers=workers), serial_batch
         )
 
     def test_standalone_matrix_matches_campaign(self, serial_batch):

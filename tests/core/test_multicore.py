@@ -1,31 +1,22 @@
-"""Unit tests for the shared-nothing multicore campaign engine.
+"""Unit tests for the fork+ring transport and the engine's accounting.
 
-Campaign-level byte identity across engines lives in
-``tests/conformance/test_engines.py``; this file covers the engine's
-own machinery — scalar-only work distribution, frame handling, fault
-paths, engine stats, and the pool engine's newly-loud executor
-fallback.
+Campaign-level byte identity across transports lives in
+``tests/conformance/test_engines.py``; this file covers the process
+rounds' own machinery — scalar-only work distribution, frame handling,
+fault paths, engine stats, and the loud fallback when children cannot
+start.
 """
 
 import dataclasses
+import multiprocessing
 import pickle
 import warnings
 
 import pytest
 
 from repro.core import Campaign, CampaignConfig
-from repro.core.multicore import (
-    _config_from_wire,
-    _config_to_wire,
-    run_multicore,
-)
-from repro.core.shard import (
-    CHAOS_EXIT_ENV,
-    CHAOS_RAISE_ENV,
-    ShardOutcome,
-    _run_tasks,
-    run_sharded,
-)
+from repro.core.multicore import _config_from_wire, _config_to_wire
+from repro.core.shard import CHAOS_EXIT_ENV, CHAOS_RAISE_ENV, run_sharded
 
 SCALE = 65536
 
@@ -54,9 +45,8 @@ class TestWireConfig:
 
 class TestEngineStats:
     def test_process_engine_reports_transport_and_work(self):
-        result = run_multicore(_config(), parallelism="process")
+        result = run_sharded(_config(), parallelism="process")
         stats = result.engine_stats
-        assert stats["engine"] == "multicore"
         assert stats["transport"] in ("shm", "pipe")
         assert stats["workers"] == 2
         assert stats["rounds"] == 1
@@ -69,7 +59,7 @@ class TestEngineStats:
         )
 
     def test_compact_frames_used_for_streaming(self):
-        result = run_multicore(
+        result = run_sharded(
             _config(mode="stream", drop_captures=True),
             parallelism="process",
         )
@@ -77,15 +67,15 @@ class TestEngineStats:
         assert result.engine_stats["pickle_frames"] == 0
 
     def test_pickle_frames_used_for_batch(self):
-        result = run_multicore(_config(), parallelism="inline")
+        result = run_sharded(_config(), parallelism="process")
         assert result.engine_stats["pickle_frames"] == 2
         assert result.engine_stats["compact_frames"] == 0
 
     def test_compact_frames_are_smaller(self):
-        fat = run_multicore(_config(), parallelism="inline")
-        slim = run_multicore(
+        fat = run_sharded(_config(), parallelism="process")
+        slim = run_sharded(
             _config(mode="stream", drop_captures=True),
-            parallelism="inline",
+            parallelism="process",
         )
         assert (
             slim.engine_stats["bytes_shipped"]
@@ -96,25 +86,18 @@ class TestEngineStats:
 class TestValidation:
     def test_rejects_unknown_parallelism(self):
         with pytest.raises(ValueError):
-            run_multicore(_config(), parallelism="threads")
-
-    def test_rejects_unknown_ring(self):
-        with pytest.raises(ValueError):
-            run_multicore(_config(), ring="floppy")
-
-    def test_rejects_bad_event_batch(self):
-        with pytest.raises(ValueError):
-            run_multicore(_config(), event_batch=0)
+            run_sharded(_config(), parallelism="threads")
 
     def test_config_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            CampaignConfig(year=2018, scale=SCALE, seed=3, engine="gpu")
+        for engine in ("gpu", "pool"):
+            with pytest.raises(ValueError):
+                CampaignConfig(year=2018, scale=SCALE, seed=3, engine=engine)
 
 
 class TestFaultPaths:
     def test_crashing_worker_degrades_after_retries(self, monkeypatch):
         monkeypatch.setenv(CHAOS_RAISE_ENV, "1:99")
-        result = run_multicore(
+        result = run_sharded(
             _config(max_shard_retries=1), parallelism="process"
         )
         assert result.degraded is not None
@@ -124,7 +107,7 @@ class TestFaultPaths:
 
     def test_killed_worker_is_requeued_and_recovers(self, monkeypatch):
         monkeypatch.setenv(CHAOS_EXIT_ENV, "1:1")
-        result = run_multicore(
+        result = run_sharded(
             _config(max_shard_retries=2), parallelism="process"
         )
         assert result.degraded is None
@@ -134,7 +117,7 @@ class TestFaultPaths:
 
     def test_inline_crash_degrades(self, monkeypatch):
         monkeypatch.setenv(CHAOS_RAISE_ENV, "0:99")
-        result = run_multicore(
+        result = run_sharded(
             _config(max_shard_retries=0), parallelism="inline"
         )
         assert result.degraded is not None
@@ -144,64 +127,59 @@ class TestCampaignDispatch:
     def test_engine_field_routes_to_multicore(self):
         result = Campaign(_config(engine="multicore")).run()
         assert result.engine_stats is not None
-        assert result.engine_stats["engine"] == "multicore"
+        assert result.engine_stats["transport"] in ("shm", "pipe")
 
-    def test_pool_engine_has_no_engine_stats(self):
-        result = Campaign(_config()).run()
-        assert result.engine_stats is None
+    @pytest.mark.parametrize(
+        "workers, transports",
+        [(1, ("inline",)), (2, ("shm", "pipe"))],
+        ids=["inline", "process"],
+    )
+    def test_every_run_accounts_each_shard(self, workers, transports):
+        # The benchmark divides by the mean busy time on every campaign
+        # run, one-worker runs included.
+        result = Campaign(_config(workers=workers)).run()
+        stats = result.engine_stats
+        assert stats["transport"] in transports
+        assert sorted(stats["worker_busy_s"]) == list(range(workers))
+        assert all(busy > 0 for busy in stats["worker_busy_s"].values())
+        assert sorted(stats["worker_q1"]) == list(range(workers))
+        assert sum(stats["worker_q1"].values()) == result.probe_summary.q1
+        if workers == 1:
+            assert stats["frames"] == stats["bytes_shipped"] == 0
 
 
 class TestPoolFallbackIsLoud:
-    """The executor fallback used to be silent: a sandboxed host (no
-    semaphores) would quietly run an N-worker round serially. It must
-    now warn once and count on ``campaign.pool_fallbacks``."""
+    """A sandboxed host (no semaphores, no fork) must not quietly run
+    an N-worker campaign in one process: a round whose children cannot
+    start warns once, counts ``campaign.pool_fallbacks`` and runs
+    inline, unless ``parallelism="process"`` was forced."""
 
-    def _tasks(self):
-        from repro.core.shard import ShardTask
-
-        config = _config()
-        return [
-            ShardTask(config=config, index=index, workers=2)
-            for index in range(2)
-        ]
-
-    def test_broken_executor_warns_and_counts(self, monkeypatch):
-        import concurrent.futures
-
-        from repro.telemetry.hub import TelemetryConfig, as_hub
-
-        def _no_semaphores(*args, **kwargs):
+    @pytest.fixture
+    def no_children(self, monkeypatch):
+        def _refuse(self):
             raise OSError("semaphores unavailable")
 
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", _no_semaphores
-        )
+        monkeypatch.setattr(multiprocessing.Process, "start", _refuse)
+
+    def test_broken_executor_warns_and_counts(self, no_children):
+        from repro.telemetry.hub import TelemetryConfig, as_hub
+
         hub = as_hub(TelemetryConfig())
         with pytest.warns(RuntimeWarning, match="shard round running inline"):
-            results = _run_tasks(self._tasks(), "auto", hub)
-        assert len(results) == 2
-        assert all(
-            isinstance(outcome, ShardOutcome) for _, outcome in results
-        )
+            result = run_sharded(_config(), telemetry=hub)
+        assert result.degraded is None
+        assert result.engine_stats["transport"] == "inline"
+        assert sorted(result.engine_stats["worker_busy_s"]) == [0, 1]
         counters = hub.snapshot().metrics.counters
         assert counters.get("campaign.pool_fallbacks") == 1
 
-    def test_forced_process_parallelism_still_raises(self, monkeypatch):
-        import concurrent.futures
-
-        def _no_semaphores(*args, **kwargs):
-            raise OSError("semaphores unavailable")
-
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", _no_semaphores
-        )
+    def test_forced_process_parallelism_still_raises(self, no_children):
         with pytest.raises(OSError):
-            _run_tasks(self._tasks(), "process", None)
+            run_sharded(_config(), parallelism="process")
 
     def test_healthy_pool_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            results = _run_tasks(self._tasks(), "auto", None)
-        assert all(
-            isinstance(outcome, ShardOutcome) for _, outcome in results
-        )
+            result = run_sharded(_config())
+        assert result.engine_stats["transport"] in ("shm", "pipe")
+        assert result.degraded is None

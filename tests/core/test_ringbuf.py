@@ -2,7 +2,7 @@
 
 The rings are byte pipes: framing correctness (partial delivery,
 frames split across reads, frames larger than the ring) lives here so
-the multicore engine tests can assume the transport and focus on
+the process-round tests can assume the transport and focus on
 campaign semantics.
 """
 
@@ -17,7 +17,6 @@ from repro.core.ringbuf import (
     KIND_OUTCOME_COMPACT,
     KIND_OUTCOME_PICKLE,
     FrameParser,
-    MemoryRing,
     PipeRing,
     ShmRing,
     create_ring,
@@ -53,19 +52,6 @@ class TestFrameParser:
         assert parser.feed(wire[:-3]) == []
         assert parser.pending_bytes == len(wire) - 3
         assert parser.feed(wire[-3:]) == [(KIND_OUTCOME_PICKLE, b"payload")]
-
-
-class TestMemoryRing:
-    def test_write_read_clears(self):
-        ring = MemoryRing()
-        ring.write(b"hello")
-        ring.write(b" world")
-        assert ring.read() == b"hello world"
-        assert ring.read() == b""
-
-    def test_child_handle_is_itself(self):
-        ring = MemoryRing()
-        assert open_child_ring(ring.child_handle()) is ring
 
 
 @pytest.mark.skipif(
@@ -187,7 +173,6 @@ def _pipe_child(handle):
 class TestCreateRing:
     def test_kinds(self):
         assert isinstance(create_ring("pipe"), PipeRing)
-        assert isinstance(create_ring("memory"), MemoryRing)
         if shared_memory_available():
             ring = create_ring("shm")
             assert isinstance(ring, ShmRing)

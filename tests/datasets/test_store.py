@@ -47,8 +47,8 @@ class TestSaveLoad:
 
     def test_query_log_roundtrip(self, result, saved):
         dataset = load_campaign(saved)
-        assert len(dataset.query_log) == len(result.hierarchy.auth.query_log)
-        assert dataset.query_log[0] == result.hierarchy.auth.query_log[0]
+        assert len(dataset.query_log) == len(result.query_log)
+        assert dataset.query_log[0] == result.query_log[0]
 
     def test_intel_roundtrip(self, result, saved):
         dataset = load_campaign(saved)

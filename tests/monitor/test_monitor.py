@@ -159,6 +159,17 @@ class TestContinuousMonitor:
         assert trend.open_trend in ("rising", "falling", "flat")
         assert "open resolvers" in trend.summary()
 
+    def test_leaves_later_campaigns_unchanged(self):
+        # Epoch 0's population is the memoised world every later run
+        # of the same config reuses; evolving it and re-applying the
+        # transparent overlay must not write back into it.
+        config = CampaignConfig(
+            year=2018, scale=65536, seed=21, time_compression=16.0
+        )
+        before = Campaign(config).run().report()
+        ContinuousMonitor(year=2018, scale=65536, seed=21).run(epochs=3)
+        assert Campaign(config).run().report() == before
+
     def test_requires_epochs(self):
         monitor = ContinuousMonitor(scale=65536)
         with pytest.raises(ValueError):

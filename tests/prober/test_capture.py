@@ -115,7 +115,7 @@ class TestJoinFlows:
 
     def test_join_without_auth(self):
         query = make_query(QNAME)
-        flow_set = join_flows([record_for(make_response(query))], auth=None)
+        flow_set = join_flows([record_for(make_response(query))])
         assert flow_set.q2_count == 0
         assert flow_set.flows[QNAME].r2 is not None
 

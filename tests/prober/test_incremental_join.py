@@ -1,7 +1,6 @@
 """IncrementalJoin must equal the batch join_flows it now powers."""
 
 import random
-import types
 
 import pytest
 
@@ -47,8 +46,7 @@ def _corpus(seed=42, flows=30):
 
 
 def _batch(records, entries):
-    auth = types.SimpleNamespace(query_log=entries)
-    return join_flows(records, auth=auth)
+    return join_flows(records, query_log=entries)
 
 
 def _assert_same(left, right):

@@ -27,7 +27,7 @@ def _report_with_records(result, records):
     """Re-join shuffled records and re-run the full analysis."""
     campaign = Campaign(result.config)
     capture = dataclasses.replace(result.capture, r2_records=records)
-    flow_set = join_flows(records, result.hierarchy.auth)
+    flow_set = join_flows(records, result.query_log)
     rebuilt = campaign._analyze(
         result.population,
         result.hierarchy,
@@ -61,9 +61,7 @@ class TestShuffledQueryLog(object):
         log = list(campaign_result.query_log)
         random.Random(9).shuffle(log)
         campaign = Campaign(campaign_result.config)
-        flow_set = join_flows(
-            campaign_result.capture.r2_records, campaign_result.hierarchy.auth
-        )
+        flow_set = join_flows(campaign_result.capture.r2_records, log)
         rebuilt = campaign._analyze(
             campaign_result.population,
             campaign_result.hierarchy,
@@ -80,12 +78,11 @@ class TestShuffledQueryLog(object):
 class TestMergeOrderIndependence(object):
     def test_flow_set_merge_order_irrelevant(self, campaign_result):
         records = campaign_result.capture.r2_records
-        auth = campaign_result.hierarchy.auth
         half = len(records) // 2
         first = join_flows(records[:half])
         second = join_flows(records[half:])
         # Q2/R1 joins ride along with whichever part owns the qname.
-        whole = join_flows(records, auth)
+        whole = join_flows(records, campaign_result.query_log)
         forward = merge_flow_sets([first, second])
         backward = merge_flow_sets([second, first])
         assert forward.views == backward.views

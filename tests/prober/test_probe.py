@@ -150,7 +150,7 @@ class TestFlowJoin:
     def test_flows_join_q2_and_r2(self):
         specs = {4: std_spec(), 9: hijack_spec()}
         _, hierarchy, _, capture = build_world(specs)
-        flow_set = join_flows(capture.r2_records, hierarchy.auth)
+        flow_set = join_flows(capture.r2_records, hierarchy.auth.query_log)
         assert flow_set.r2_count == 2
         resolved = [f for f in flow_set.flows_with_r2() if f.resolved_via_auth]
         assert len(resolved) == 1  # only the std resolver contacted auth
@@ -163,7 +163,7 @@ class TestFlowJoin:
             rcode=Rcode.SERVFAIL, empty_question=True,
         )
         _, hierarchy, _, capture = build_world({6: eq_spec})
-        flow_set = join_flows(capture.r2_records, hierarchy.auth)
+        flow_set = join_flows(capture.r2_records, hierarchy.auth.query_log)
         assert len(flow_set.unjoinable) == 1
         assert flow_set.views == []
 
@@ -173,7 +173,7 @@ class TestFlowJoin:
             answer_kind=AnswerKind.MALFORMED, fixed_answer=None,
         )
         _, hierarchy, _, capture = build_world({8: malformed})
-        flow_set = join_flows(capture.r2_records, hierarchy.auth)
+        flow_set = join_flows(capture.r2_records, hierarchy.auth.query_log)
         (view,) = flow_set.views
         assert view.malformed_answer
         assert view.has_answer

@@ -88,13 +88,17 @@ class TestByteIdentitySerial:
     def test_span_tree_covers_campaign_phases(self, observed):
         spans = observed.telemetry.spans
         by_name = {span["name"]: span for span in spans}
-        for name in ("campaign", "universe_walk", "deploy", "scan",
-                     "merge_and_analyze"):
+        for name in ("campaign", "shard_execution", "shard", "merge",
+                     "build_parent_world", "analyze"):
             assert name in by_name, f"missing span {name!r}"
         campaign = by_name["campaign"]
         assert campaign["parent"] is None
-        assert by_name["scan"]["parent"] == campaign["span_id"]
-        assert by_name["scan"]["end_sim"] >= by_name["scan"]["start_sim"]
+        execution = by_name["shard_execution"]
+        assert execution["parent"] == campaign["span_id"]
+        assert by_name["shard"]["parent"] == execution["span_id"]
+        for name in ("merge", "build_parent_world", "analyze"):
+            assert by_name[name]["parent"] == campaign["span_id"]
+        assert by_name["shard"]["end_sim"] > by_name["shard"]["start_sim"]
 
     def test_heartbeats_monotone_and_progressing(self, observed):
         beats = observed.telemetry.heartbeats
