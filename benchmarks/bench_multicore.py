@@ -1,7 +1,7 @@
 """Process-round benchmark: aggregate probe capacity vs one worker.
 
 Measures ``run_sharded(parallelism="process")`` — shared-nothing
-forked workers shipping frames over result rings — the way a
+forked workers, each sending one result message over a pipe — the way a
 scale-out scanner is actually judged: **aggregate probes per
 CPU-second** across all workers against the one-worker campaign's
 single-core rate. Per-worker busy time is ``time.process_time()`` —
@@ -16,7 +16,7 @@ The speedup comes from the shared-nothing design, not magic: each
 worker's busy time covers only its slice's scan (world build, event
 loop, analysis) because the O(universe) setup the serial run pays —
 the full permutation walk — is forked in from the parent's primed
-cache, and results leave as compact frames instead of fat pickles.
+cache.
 
 Publishes the canonical repo-root ``BENCH_multicore.json`` with a
 ``baseline`` section (committed reference, rewritten by hand) and a

@@ -283,8 +283,8 @@ class CampaignResult:
     #: :meth:`summary`/:meth:`report` — those bytes must not depend on
     #: whether the campaign was being watched.
     telemetry: TelemetrySnapshot | None = None
-    #: Execution accounting, set on every run: transport (``inline``,
-    #: ``shm`` or ``pipe``), per-shard CPU-busy seconds and probe
+    #: Execution accounting, set on every run: transport (``inline`` or
+    #: ``pipe``), per-shard CPU-busy seconds and probe
     #: counts, frames and bytes shipped, rounds run. Pure observability
     #: — never part of :meth:`summary`/:meth:`report`.
     engine_stats: dict | None = None

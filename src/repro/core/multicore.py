@@ -1,4 +1,4 @@
-"""Fork+ring transport: one campaign round in shared-nothing children.
+"""Fork+pipe transport: one campaign round in shared-nothing children.
 
 :func:`repro.core.shard.run_sharded` runs every campaign; when a round
 runs in worker processes, it hands that round to :func:`run_multicore`,
@@ -14,21 +14,19 @@ which runs the pending shards the ZDNS/ZMap scale-out way:
   fork start method the parent primes the shared universe and world
   memos first, so children inherit them instead of each recomputing
   them.
-- **Compact result rings, drained incrementally.** Each worker owns a
-  single-producer ring (:mod:`repro.core.ringbuf`: shared memory, or a
-  pipe where the platform has none) and ships its outcome as a
-  struct-packed frame (:mod:`repro.stream.codec`) when the state is
-  compact (streaming ``drop_captures``), or a pickle frame otherwise.
-  The parent drains all rings continuously while workers run, so a
-  ring never blocks a producer and results are decoded as they land,
-  not at the end of the round.
+- **One result message per child.** Each worker holds the write end of
+  its own one-way pipe and sends exactly one message on it: its
+  outcome in the one outcome format (:mod:`repro.stream.codec`) or its
+  error. The parent blocks on every pipe and every child's exit at
+  once (:func:`multiprocessing.connection.wait`), and reads a child's
+  pipe before it judges the child's exit code.
 - **Batched dispatch inside the worker.** The scan drains the
   scheduler in :data:`DEFAULT_EVENT_BATCH`-event batches
   (:meth:`~repro.netsim.events.Scheduler.run_batch`) and folds
   telemetry wire tallies once per batch instead of per probe.
 
-A worker that raises ships an error frame; a worker that dies without
-a frame (chaos kill, crash) is detected by its exit code. Either way
+A worker that raises sends its error; a worker that dies without a
+message (chaos kill, crash) is detected by its exit code. Either way
 the shard comes back as an error, and ``run_sharded`` decides whether
 to requeue it.
 """
@@ -40,17 +38,8 @@ import multiprocessing
 import pickle
 import struct
 import time
+from multiprocessing.connection import Connection, wait
 
-from repro.core.ringbuf import (
-    KIND_ERROR,
-    KIND_OUTCOME_COMPACT,
-    KIND_OUTCOME_PICKLE,
-    FrameParser,
-    PipeRing,
-    create_ring,
-    open_child_ring,
-    pack_frame,
-)
 from repro.core.shard import (
     ShardExecutionError,
     ShardOutcome,
@@ -59,6 +48,7 @@ from repro.core.shard import (
     shard_seed,
 )
 from repro.resolvers.population import SampledPopulation
+from repro.stream.codec import decode_outcome, encode_outcome
 
 __all__ = ["run_multicore", "DEFAULT_EVENT_BATCH"]
 
@@ -67,11 +57,13 @@ __all__ = ["run_multicore", "DEFAULT_EVENT_BATCH"]
 #: telemetry tallies stay fresh for live samplers.
 DEFAULT_EVENT_BATCH = 4096
 
-#: Outcome-frame prefix: worker index, attempt, CPU-busy seconds. Busy
-#: time is ``time.process_time`` — CPU consumed by the worker process —
-#: so aggregate capacity numbers are honest even when workers contend
-#: for fewer physical cores than there are shards.
-_PREFIX = struct.Struct("<IId")
+#: Message prefix: whether the shard succeeded, worker index, attempt,
+#: CPU-busy seconds. Busy time is ``time.process_time`` — CPU consumed
+#: by the worker process — so aggregate capacity numbers are honest
+#: even when workers contend for fewer physical cores than there are
+#: shards. An outcome follows a succeeded prefix, the pickled
+#: ``(index, workers, seed, message)`` error tuple a failed one.
+_PREFIX = struct.Struct("<?IId")
 
 #: Fork-inheritance slot for ``population_override``: an evolved world
 #: cannot be re-derived from the seed, so it cannot ride the scalar
@@ -99,18 +91,16 @@ def _worker_main(
     index: int,
     workers: int,
     attempt: int,
-    ring_handle,
+    writer: Connection,
     telemetry_config,
 ) -> None:
-    """One worker: derive the slice locally, scan, ship one frame.
+    """One worker: derive the slice locally, scan, send one message.
 
-    Runs as a child process (fork or spawn — the args are scalars plus
-    a ring descriptor). Exactly one frame leaves: a compact or pickled
-    outcome on success, an error frame on
-    :class:`ShardExecutionError`. A hard kill ships nothing; the parent
+    Runs as a forked child. Exactly one message leaves on ``writer``:
+    the encoded outcome on success, the error tuple on
+    :class:`ShardExecutionError`. A hard kill sends nothing; the parent
     reads the exit code instead.
     """
-    ring = open_child_ring(ring_handle)
     try:
         task = ShardTask(
             config=_config_from_wire(wire),
@@ -124,123 +114,106 @@ def _worker_main(
         try:
             outcome = run_shard(task, event_batch=DEFAULT_EVENT_BATCH)
         except ShardExecutionError as exc:
-            ring.write(pack_frame(
-                KIND_ERROR,
-                pickle.dumps(
+            writer.send_bytes(
+                _PREFIX.pack(False, index, attempt, 0.0)
+                + pickle.dumps(
                     (exc.index, exc.workers, exc.seed, exc.message),
                     protocol=pickle.HIGHEST_PROTOCOL,
-                ),
-            ))
+                )
+            )
             return
         busy = time.process_time() - busy_start
-        prefix = _PREFIX.pack(index, attempt, busy)
-        from repro.stream.codec import encode_outcome
-
-        compact = encode_outcome(outcome)
-        if compact is not None:
-            ring.write(pack_frame(KIND_OUTCOME_COMPACT, prefix + compact))
-        else:
-            ring.write(pack_frame(
-                KIND_OUTCOME_PICKLE,
-                prefix + pickle.dumps(
-                    outcome, protocol=pickle.HIGHEST_PROTOCOL
-                ),
-            ))
+        writer.send_bytes(
+            _PREFIX.pack(True, index, attempt, busy) + encode_outcome(outcome)
+        )
     finally:
-        ring.close()
+        writer.close()
 
 
-def _handle_frame(
-    kind: int,
-    payload: bytes,
+@dataclasses.dataclass
+class _Child:
+    reader: Connection
+    proc: multiprocessing.Process
+
+
+def _receive(reader: Connection) -> bytes | None:
+    """The child's one message, or ``None`` if it exited without one.
+
+    Called once the pipe is readable or the child has exited. The child
+    holds the only write end, so an exited child's pipe reads as end of
+    file; a child killed mid-message leaves a torn one, which counts as
+    no message.
+    """
+    try:
+        return reader.recv_bytes()
+    except (EOFError, OSError):
+        return None
+    finally:
+        reader.close()
+
+
+def _handle_message(
+    message: bytes,
     outcomes: dict[int, ShardOutcome],
     errors: dict[int, BaseException],
     stats: dict,
 ) -> None:
     stats["frames"] += 1
-    if kind == KIND_ERROR:
-        index, workers, seed, message = pickle.loads(payload)
-        errors[index] = ShardExecutionError(index, workers, seed, message)
+    stats["bytes_shipped"] += len(message)
+    ok, index, _attempt, busy = _PREFIX.unpack_from(message)
+    payload = message[_PREFIX.size:]
+    if not ok:
+        errors[index] = ShardExecutionError(*pickle.loads(payload))
         return
-    index, _attempt, busy = _PREFIX.unpack_from(payload, 0)
-    blob = payload[_PREFIX.size:]
-    if kind == KIND_OUTCOME_COMPACT:
-        from repro.stream.codec import decode_outcome
-
-        outcome = decode_outcome(blob)
-        stats["compact_frames"] += 1
-    elif kind == KIND_OUTCOME_PICKLE:
-        outcome = pickle.loads(blob)
-        stats["pickle_frames"] += 1
-    else:
-        raise ValueError(f"unknown result-ring frame kind: {kind}")
     stats["worker_busy_s"][index] = round(busy, 6)
-    outcomes[index] = outcome
+    outcomes[index] = decode_outcome(payload)
 
 
-@dataclasses.dataclass
-class _WorkerState:
-    ring: object
-    parser: FrameParser
-    proc: object = None
-
-
-def _drain_workers(
-    states: dict[int, _WorkerState],
+def _collect(
+    children: dict[int, _Child],
     outcomes: dict[int, ShardOutcome],
     errors: dict[int, BaseException],
     stats: dict,
     config,
 ) -> None:
-    """Pump every live worker's ring until all workers are finished.
+    """Take every child's message and exit, in the order they land.
 
-    The incremental half of the pipeline: frames are parsed and decoded
-    the moment their bytes land, so a worker writing a frame larger
-    than its ring streams through in chunks while the parent consumes,
-    and the merge-side work overlaps the slowest worker's tail.
+    Whether a child's pipe or its exit sentinel wakes the wait, the
+    pipe is read first: a child that sent its outcome and exited
+    succeeded, and a child still writing a message bigger than the OS
+    pipe buffer is drained before it is joined.
     """
-
-    def pump(state: _WorkerState) -> bool:
-        data = state.ring.read()
-        if not data:
-            return False
-        stats["bytes_shipped"] += len(data)
-        for kind, payload in state.parser.feed(data):
-            _handle_frame(kind, payload, outcomes, errors, stats)
-        return True
-
-    while states:
-        progress = False
-        for index in list(states):
-            state = states[index]
-            if pump(state):
-                progress = True
-            proc = state.proc
-            if not proc.is_alive():
-                proc.join()
-                pump(state)  # the frame may have landed between polls
-                if index not in outcomes and index not in errors:
-                    errors[index] = ShardExecutionError(
-                        index, config.workers,
-                        shard_seed(config.seed, index, config.workers),
-                        "worker exited with code "
-                        f"{proc.exitcode} before shipping a result",
-                    )
-                state.ring.close()
-                del states[index]
-                progress = True
-        if not progress:
-            time.sleep(0.001)
+    waiting = dict(children)
+    while waiting:
+        ready = wait([
+            handle
+            for child in waiting.values()
+            for handle in (child.reader, child.proc.sentinel)
+        ])
+        for index, child in list(waiting.items()):
+            if child.reader not in ready and child.proc.sentinel not in ready:
+                continue
+            del waiting[index]
+            message = _receive(child.reader)
+            child.proc.join()
+            if message is not None:
+                _handle_message(message, outcomes, errors, stats)
+            else:
+                errors[index] = ShardExecutionError(
+                    index, config.workers,
+                    shard_seed(config.seed, index, config.workers),
+                    "worker exited with code "
+                    f"{child.proc.exitcode} before shipping a result",
+                )
 
 
-def _abort(states: dict[int, _WorkerState]) -> None:
-    """Tear down a round whose children could not all start."""
-    for state in states.values():
-        proc = state.proc
-        if proc is not None and proc.pid is not None:
-            proc.terminate()
-            proc.join()
-        state.ring.close()
+def _abort(children: dict[int, _Child]) -> None:
+    """Stop a round that failed to start or was interrupted mid-wait."""
+    for child in children.values():
+        if child.proc.pid is not None:
+            child.proc.terminate()
+            child.proc.join()
+        child.reader.close()
 
 
 def run_multicore(
@@ -253,39 +226,40 @@ def run_multicore(
 ) -> tuple[dict[int, ShardOutcome], dict[int, BaseException]]:
     """Run one round's ``pending`` shards in forked children.
 
-    One child and one result ring per shard; returns the round's
+    One child and one result pipe per shard; returns the round's
     ``(outcomes, errors)`` by shard index and accounts frames, bytes,
     transport and per-worker CPU-busy seconds on ``stats``. Its wall
     time is the parent waiting on its children. Raises ``OSError``
-    (with every started child stopped) when a ring or a child cannot
+    (with every started child stopped) when a pipe or a child cannot
     be created — the caller decides whether to run the round inline.
+    Any exception, an interrupt included, stops the round's children.
     """
     global _fork_override
     wire = _config_to_wire(config)
     outcomes: dict[int, ShardOutcome] = {}
     errors: dict[int, BaseException] = {}
-    states: dict[int, _WorkerState] = {}
+    children: dict[int, _Child] = {}
+    stats["transport"] = "pipe"
     _fork_override = population_override
     try:
         for index in pending:
-            ring = create_ring()
-            handle = ring.child_handle()
-            stats["transport"] = handle[0]  # "shm" or "pipe"
-            state = states[index] = _WorkerState(ring, FrameParser())
-            state.proc = multiprocessing.Process(
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
                 target=_worker_main,
                 args=(
-                    wire, index, config.workers, attempts[index], handle,
+                    wire, index, config.workers, attempts[index], writer,
                     telemetry_config,
                 ),
             )
-            state.proc.start()
-            if isinstance(ring, PipeRing):
-                ring.close_writer()  # the child holds the only write end now
+            children[index] = _Child(reader, proc)
+            try:
+                proc.start()
+            finally:
+                writer.close()  # the child holds the only write end now
+        _collect(children, outcomes, errors, stats, config)
     except BaseException:
-        _abort(states)
+        _abort(children)
         raise
     finally:
         _fork_override = None
-    _drain_workers(states, outcomes, errors, stats, config)
     return outcomes, errors

@@ -14,8 +14,8 @@ captures and flows into a single :class:`CampaignResult`.
 it: a one-worker campaign is shard 0 of 1, run in-process, exactly as
 ZMap's one-host scan is shard 0 of 1 of the same permuted walk. Each
 round runs its pending shards either in-process (:func:`run_shard`) or
-in forked children that ship result frames back over shared-memory or
-pipe rings (:func:`repro.core.multicore.run_multicore`).
+in forked children that each send their outcome back as one message on
+a pipe (:func:`repro.core.multicore.run_multicore`).
 
 Determinism contract (see DESIGN.md §6): for a given
 ``(seed, scale, year)`` and ``loss_rate == 0`` the merged run renders
@@ -185,6 +185,9 @@ class ShardTask:
 @dataclasses.dataclass
 class ShardOutcome:
     """What one shard ships back to the parent for merging.
+
+    Whether it crosses a worker's pipe or lands in a checkpoint, it
+    travels in one byte format, :func:`repro.stream.codec.encode_outcome`.
 
     A streaming shard (``config.mode == "stream"``) also carries its
     folded :class:`TableAggregate` — with ``drop_captures`` that is
@@ -744,9 +747,9 @@ def run_sharded(
     snapshot lands on ``result.telemetry``. A failing shard with a
     configured ``flight_dump_dir`` dumps its flight recorder.
 
-    The result's ``engine_stats`` records the transport (``inline``,
-    ``shm`` or ``pipe``), rounds, frames and bytes shipped, and per
-    shard its CPU-busy seconds and probe count.
+    The result's ``engine_stats`` records the transport (``inline`` or
+    ``pipe``), rounds, frames and bytes shipped, and per shard its
+    CPU-busy seconds and probe count.
     """
     if parallelism not in ("auto", "process", "inline"):
         raise ValueError(f"unknown parallelism mode: {parallelism!r}")
@@ -785,8 +788,6 @@ def run_sharded(
         "resumed_shards": len(completed),
         "frames": 0,
         "bytes_shipped": 0,
-        "compact_frames": 0,
-        "pickle_frames": 0,
         "worker_busy_s": {},
         "worker_q1": {},
     }
@@ -857,8 +858,8 @@ def finalize_outcomes(
 ) -> "CampaignResult":  # noqa: F821
     """Merge completed shard outcomes into a :class:`CampaignResult`.
 
-    Whatever carried the outcomes — a return value, compact frames
-    through a ring, a checkpoint on disk — the merge, the follow-up
+    Whatever carried the outcomes — a return value, a message on a
+    worker's pipe, a checkpoint on disk — the merge, the follow-up
     world, the analysis dispatch and the degraded-manifest accounting
     are this one function.
     """

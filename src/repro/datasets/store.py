@@ -25,7 +25,6 @@ import dataclasses
 import json
 import os
 import pathlib
-import pickle
 
 from repro.analysis.compare import TemporalComparison, compare_years
 from repro.analysis.correctness import measure_correctness
@@ -56,6 +55,7 @@ from repro.stats import (
     RcodeTable,
     TopDestinationRow,
 )
+from repro.stream.codec import decode_outcome, encode_outcome
 from repro.threatintel.cymon import CymonDatabase, ThreatCategory, ThreatReport
 from repro.threatintel.geo import GeoDatabase
 from repro.threatintel.whois import WhoisDatabase
@@ -124,10 +124,11 @@ def save_shard_checkpoint(
     ``fingerprint`` (every config field that shapes shard bytes);
     later writes — and :func:`load_shard_checkpoints` — verify against
     it, so a checkpoint directory can never silently mix shards from
-    two different campaigns. Both the manifest and the pickle are
-    written to a temp file, fsynced, and renamed into place (with the
-    directory entry flushed after): a crash mid-write leaves no torn
-    manifest or half-checkpoint for a resume to trip over.
+    two different campaigns. Both the manifest and the outcome's bytes
+    (:func:`repro.stream.codec.encode_outcome`) are written to a temp
+    file, fsynced, and renamed into place (with the directory entry
+    flushed after): a crash mid-write leaves no torn manifest or
+    half-checkpoint for a resume to trip over.
     """
     path = pathlib.Path(directory)
     path.mkdir(parents=True, exist_ok=True)
@@ -141,9 +142,7 @@ def save_shard_checkpoint(
             (json.dumps(manifest, indent=2) + "\n").encode("utf-8"),
         )
     target = path / _shard_filename(index)
-    _write_atomic(
-        target, pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-    )
+    _write_atomic(target, encode_outcome(outcome))
     return target
 
 
@@ -173,7 +172,7 @@ def load_shard_checkpoints(directory, fingerprint: dict) -> dict[int, object]:
     Returns ``{shard_index: outcome}``. An empty or nonexistent
     directory resumes to nothing (a fresh run); a directory whose
     manifest names a different campaign raises. A checkpoint that fails
-    to unpickle is treated as not completed, and stray ``*.tmp`` files
+    to decode is treated as not completed, and stray ``*.tmp`` files
     left by a crash mid-write are quarantined — crash tolerance means a
     torn file costs a shard re-run, never the campaign.
     """
@@ -197,8 +196,7 @@ def load_shard_checkpoints(directory, fingerprint: dict) -> dict[int, object]:
         except ValueError:
             continue
         try:
-            with open(checkpoint, "rb") as stream:
-                outcomes[index] = pickle.load(stream)
+            outcomes[index] = decode_outcome(checkpoint.read_bytes())
         except Exception:
             continue  # torn or foreign file: re-run that shard
     return outcomes

@@ -217,8 +217,10 @@ class ForwardingResolver:
 
 
 def _original_id(client: Datagram) -> int:
-    """Recover the client's original message ID from its raw query."""
-    try:
-        return decode_message(client.payload).header.msg_id
-    except DnsWireError:
-        return 0
+    """The client's original message ID: the first two bytes of its query.
+
+    ``handle_client`` decoded this payload before keeping it, so it
+    holds at least a whole header.
+    """
+    payload = client.payload
+    return payload[0] << 8 | payload[1]

@@ -2,7 +2,7 @@
 
 Every campaign runs through :func:`run_sharded`, whose rounds run their
 shards either in this process (``parallelism="inline"``) or in forked
-children that ship result frames over shared-memory or pipe rings
+children that each send their outcome back as one message on a pipe
 (``parallelism="process"``, the ``repro.core.multicore`` transport).
 The second changes *everything* about execution — process topology,
 wire format, dispatch granularity — and *nothing* about the
@@ -26,6 +26,7 @@ from repro.core.shard import (
     run_sharded,
 )
 from repro.datasets.store import load_shard_checkpoints
+from repro.stream.codec import OUTCOME_BUDGET_BYTES
 
 SCALE = 65536
 
@@ -91,21 +92,15 @@ class TestBurstyProfileMatrix:
 
 
 class TestProcessTransports:
-    @pytest.mark.parametrize("ring", ["shm", "pipe"])
-    def test_child_processes_match_serial(
-        self, serial_batch, monkeypatch, ring
-    ):
-        if ring == "pipe":
-            monkeypatch.setattr(
-                "repro.core.ringbuf.shared_memory_available", lambda: False
-            )
+    def test_child_processes_match_serial(self, serial_batch):
         result = _process(workers=4)
-        assert result.engine_stats["transport"] == ring
+        assert result.engine_stats["transport"] == "pipe"
         _assert_same_tables(result, serial_batch)
 
     def test_stream_compact_frames_over_processes(self, serial_batch):
         result = _process(workers=4, mode="stream", drop_captures=True)
-        assert result.engine_stats["compact_frames"] == 4
+        assert result.engine_stats["frames"] == 4
+        assert result.engine_stats["bytes_shipped"] < 4 * OUTCOME_BUDGET_BYTES
         _assert_same_tables(result, serial_batch)
 
 
