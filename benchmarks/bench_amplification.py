@@ -7,11 +7,11 @@ of simulated open resolvers.
 """
 
 from repro.amplification import (
-    AmplificationAttack,
     build_rich_zone,
     measure_amplification,
     sweep_qtypes,
 )
+from repro.attacks import AmplificationAttack
 from repro.dnslib.constants import QueryType
 from repro.dnssrv.auth import AuthoritativeServer
 from repro.dnssrv.hierarchy import build_hierarchy

@@ -16,7 +16,8 @@ fresh clone with no committed baseline.
 
 import pytest
 
-from repro.amplification import AmplificationAttack, build_rich_zone
+from repro.amplification import build_rich_zone
+from repro.attacks import AmplificationAttack
 from repro.dnssrv.hierarchy import build_hierarchy
 from repro.dnssrv.ratelimit import ResponseRateLimiter
 from repro.dnssrv.recursive import RecursiveResolver

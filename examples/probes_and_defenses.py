@@ -15,7 +15,8 @@ Usage::
     python examples/probes_and_defenses.py
 """
 
-from repro.amplification import AmplificationAttack, build_rich_zone
+from repro.amplification import build_rich_zone
+from repro.attacks import AmplificationAttack
 from repro.cachetest import CachePolicy, CacheProbeExperiment, render_cache_report
 from repro.classify import FAST, TimingClassifier
 from repro.dnssrv.hierarchy import build_hierarchy

@@ -13,7 +13,9 @@ The package provides, from scratch:
 - ``repro.threatintel``— Cymon-like threat intel, geolocation and whois
   substrates.
 - ``repro.analysis``   — the analyzers that regenerate Tables II-X.
-- ``repro.amplification`` — the DNS amplification threat model.
+- ``repro.amplification`` — per-qtype DNS amplification factors.
+- ``repro.attacks``    — the attack × defense matrix and the one
+  spoofed-source reflection attack.
 - ``repro.core``       — the end-to-end ``Campaign`` API.
 
 Quickstart::

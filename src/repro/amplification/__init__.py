@@ -1,15 +1,13 @@
-"""The DNS amplification threat model of section II-C.
+"""Per-qtype amplification factors: the DNS threat of section II-C.
 
 The paper argues that the mere existence of open resolvers enables
 bandwidth-amplification DDoS: 'ANY' queries with a spoofed source
-concentrate large responses on the victim. This subpackage quantifies
-that threat on the simulated network: per-qtype amplification factors
-(:mod:`repro.amplification.factor`) and an end-to-end spoofed-source
-attack through a fleet of open resolvers
-(:mod:`repro.amplification.attack`).
+concentrate large responses on the victim. This subpackage measures
+how much larger each query type's response is than its query, against
+a record-rich zone (:mod:`repro.amplification.factor`). The spoofed
+attack itself lives in :mod:`repro.attacks.reflection`.
 """
 
-from repro.amplification.attack import AmplificationAttack, AttackReport
 from repro.amplification.factor import (
     AmplificationMeasurement,
     build_rich_zone,
@@ -18,9 +16,7 @@ from repro.amplification.factor import (
 )
 
 __all__ = [
-    "AmplificationAttack",
     "AmplificationMeasurement",
-    "AttackReport",
     "build_rich_zone",
     "measure_amplification",
     "sweep_qtypes",

@@ -5,7 +5,8 @@ amplification, random-subdomain water torture, and population-scale
 spoofed-source reflection — each run against a ladder of defense
 postures (RRL, per-client quotas, negative caching, glueless fan-out
 caps, bounded pending queues), producing the attack × defense matrix
-reported alongside Tables II–X.
+reported alongside Tables II–X. The reflection family's attack,
+:class:`AmplificationAttack`, is also what ``repro amplify`` runs.
 """
 
 from repro.attacks.defense import (
@@ -23,6 +24,7 @@ from repro.attacks.matrix import (
     AttackSuiteConfig,
     run_attack_matrix,
 )
+from repro.attacks.reflection import AmplificationAttack, AttackReport
 from repro.attacks.report import (
     MATRIX_HEADER,
     POLICY_HEADER,
@@ -39,8 +41,10 @@ from repro.attacks.zones import (
 __all__ = [
     "ATTACK_FAMILIES",
     "ATTACK_LANE",
+    "AmplificationAttack",
     "AttackCell",
     "AttackMatrix",
+    "AttackReport",
     "AttackSuiteConfig",
     "DEFENSE_POSTURES",
     "DefensePosture",

@@ -13,8 +13,9 @@ posture in a fresh, self-contained simulation. The three families:
   caches and land on the victim auth as NXDOMAINs;
 - ``reflection`` — population-scale spoofed-source reflection: ANY
   queries for a record-rich name, source forged to the victim host,
-  sent to every resolver in the fleet (the generalization of
-  :mod:`repro.amplification` from one resolver to the census).
+  sent to every resolver in the fleet and paced at the attack rate
+  (:class:`~repro.attacks.reflection.AmplificationAttack`, the attack
+  ``repro amplify`` runs).
 
 A ``baseline`` pseudo-family (benign workload only) anchors the
 collateral measurement: a defense's cost is the benign answer rate it
@@ -40,6 +41,7 @@ from repro.attacks.defense import (
     DefensePosture,
     posture_by_name,
 )
+from repro.attacks.reflection import AmplificationAttack, AttackReport
 from repro.attacks.zones import (
     AMP_ORIGIN,
     ATTACKER_IP,
@@ -52,14 +54,12 @@ from repro.attacks.zones import (
 )
 from repro.clients.workload import ClientWorkload, WorkloadConfig
 from repro.dnslib.constants import QueryType
-from repro.dnslib.edns import add_edns
 from repro.dnslib.message import make_query
 from repro.dnslib.wire import DnsWireError, decode_message, encode_message
 from repro.dnssrv.recursive import RecursiveResolver
 from repro.netsim.latency import LogNormalLatency
 from repro.netsim.network import Network
 from repro.netsim.packet import Datagram
-from repro.netsim.pcap import PacketTap
 from repro.netsim.seeds import derive_seed
 from repro.telemetry.hub import as_hub
 
@@ -303,36 +303,6 @@ def _schedule_flood(
     return config.attack_queries, attacker_bytes
 
 
-def _schedule_reflection(
-    network: Network,
-    resolver_ips: list[str],
-    config: AttackSuiteConfig,
-) -> tuple[int, int]:
-    """Spoofed-source ANY queries through the whole fleet."""
-    attacker_bytes = 0
-    queries = 0
-    for round_index in range(config.reflection_rounds):
-        for ip_index, resolver_ip in enumerate(resolver_ips):
-            query = make_query(
-                AMP_ORIGIN, qtype=QueryType.ANY, msg_id=queries & 0xFFFF
-            )
-            add_edns(query)
-            datagram = Datagram(
-                src_ip=REFLECTION_VICTIM_IP,  # forged source
-                src_port=53000,
-                dst_ip=resolver_ip,
-                dst_port=53,
-                payload=encode_message(query),
-            )
-            attacker_bytes += datagram.wire_size
-            network.scheduler.after(
-                queries / config.attack_qps,
-                lambda dg=datagram: network.send(dg, origin=ATTACKER_IP),
-            )
-            queries += 1
-    return queries, attacker_bytes
-
-
 def _auth_attack_queries(query_log, family: str) -> int:
     """Attack-namespace queries in the victim auth's log — exact, not
     statistical: every family's qnames carry a distinctive prefix."""
@@ -381,7 +351,7 @@ def _run_cell(
     fleet = _BenignFleet(network, workload, config.benign_qps)
     fleet.start()
 
-    victim_tap: PacketTap | None = None
+    reflection: AttackReport | None = None
     attack_queries = 0
     attacker_bytes = 0
     if family == "nxns":
@@ -400,28 +370,21 @@ def _run_cell(
             lambda index: rng.choice(pool),
         )
     elif family == "reflection":
-        victim_tap = PacketTap("victim", predicate=lambda dg: True)
-        network.attach_tap(REFLECTION_VICTIM_IP, victim_tap)
-        attack_queries, attacker_bytes = _schedule_reflection(
-            network, resolver_ips, config
-        )
+        # The launch runs the network dry, benign fleet included, so
+        # the run below has nothing left to do.
+        reflection = AmplificationAttack(
+            network, ATTACKER_IP, REFLECTION_VICTIM_IP, resolver_ips,
+            AMP_ORIGIN,
+        ).launch(rounds=config.reflection_rounds, qps=config.attack_qps)
+        attack_queries = reflection.queries_sent
+        attacker_bytes = reflection.attacker_bytes
 
     network.run()
 
-    victim_bytes = 0
-    victim_packets = 0
-    if victim_tap is not None:
-        inbound = victim_tap.inbound()
-        victim_bytes = sum(rec.datagram.wire_size for rec in inbound)
-        victim_packets = len(inbound)
-        network.detach_tap(REFLECTION_VICTIM_IP, victim_tap)
-
     auth_queries = _auth_attack_queries(hierarchy.auth.query_log, family)
     window = attack_queries / config.attack_qps if attack_queries else 0.0
-    if family == "reflection":
-        amplification = (
-            victim_bytes / attacker_bytes if attacker_bytes else 0.0
-        )
+    if reflection is not None:
+        amplification = reflection.amplification_factor
     elif attack_queries:
         amplification = auth_queries / attack_queries
     else:
@@ -432,8 +395,8 @@ def _run_cell(
         posture=posture.name,
         attack_queries=attack_queries,
         attacker_bytes=attacker_bytes,
-        victim_bytes=victim_bytes,
-        victim_packets=victim_packets,
+        victim_bytes=0 if reflection is None else reflection.victim_bytes,
+        victim_packets=0 if reflection is None else reflection.victim_packets,
         auth_queries=auth_queries,
         auth_qps=auth_queries / window if window else 0.0,
         amplification=amplification,

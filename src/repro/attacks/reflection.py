@@ -1,10 +1,14 @@
-"""A spoofed-source amplification attack through open resolvers.
+"""Spoofed-source reflection through open resolvers (section II-C).
 
 The attacker sends 'ANY' queries whose claimed source is the victim;
 each open resolver dutifully resolves and sends its (much larger)
 response to the victim. The report compares bytes the attacker spent
 with bytes the victim received — the paper's "the open resolver acts
 as an attack amplifier".
+
+This is the one reflection implementation: ``repro amplify`` and the
+RRL ablation fire every query at once, and the attack matrix's
+``reflection`` cells pace the same queries at the suite's attack rate.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from repro.dnslib.wire import encode_message
 from repro.netsim.network import Network
 from repro.netsim.packet import Datagram
 from repro.netsim.pcap import PacketTap
+
+#: The forged source port: where the victim "asked" from.
+VICTIM_PORT = 53000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -37,7 +44,7 @@ class AttackReport:
 
 
 class AmplificationAttack:
-    """Drives spoofed queries through a fleet of open resolvers."""
+    """Drives spoofed EDNS ANY queries through a fleet of open resolvers."""
 
     def __init__(
         self,
@@ -46,8 +53,6 @@ class AmplificationAttack:
         victim_ip: str,
         resolver_ips: list[str],
         qname: str,
-        qtype: int = QueryType.ANY,
-        use_edns: bool = True,
     ) -> None:
         if not resolver_ips:
             raise ValueError("need at least one open resolver to reflect off")
@@ -56,40 +61,52 @@ class AmplificationAttack:
         self.victim_ip = victim_ip
         self.resolver_ips = list(resolver_ips)
         self.qname = qname
-        self.qtype = qtype
-        self.use_edns = use_edns
 
-    def launch(self, rounds: int = 1, victim_port: int = 53000) -> AttackReport:
-        """Send ``rounds`` spoofed queries to every resolver and tally."""
+    def launch(self, rounds: int = 1, qps: float | None = None) -> AttackReport:
+        """Send ``rounds`` spoofed queries to every resolver, run the
+        network dry and tally what reached the victim.
+
+        Without ``qps`` every query leaves at once; with it the k-th
+        query leaves ``k / qps`` seconds from now. Whatever else is
+        scheduled on the network runs in the same drain.
+        """
+        network = self.network
         victim_tap = PacketTap("victim", predicate=lambda dg: True)
-        self.network.attach_tap(self.victim_ip, victim_tap)
+        network.attach_tap(self.victim_ip, victim_tap)
         # The victim is an innocent host: nothing listens, packets just
         # arrive (and are counted by the tap before being dropped).
         attacker_bytes = 0
         queries = 0
         for _ in range(rounds):
             for resolver_ip in self.resolver_ips:
-                query = make_query(self.qname, qtype=self.qtype, msg_id=queries & 0xFFFF)
-                if self.use_edns:
-                    add_edns(query)
-                payload = encode_message(query)
+                query = make_query(
+                    self.qname, qtype=QueryType.ANY, msg_id=queries & 0xFFFF
+                )
+                add_edns(query)
                 spoofed = Datagram(
                     src_ip=self.victim_ip,        # forged source
-                    src_port=victim_port,
+                    src_port=VICTIM_PORT,
                     dst_ip=resolver_ip,
                     dst_port=53,
-                    payload=payload,
+                    payload=encode_message(query),
                 )
-                self.network.send(spoofed, origin=self.attacker_ip)
+                if qps is None:
+                    network.send(spoofed, origin=self.attacker_ip)
+                else:
+                    network.scheduler.after(
+                        queries / qps,
+                        lambda dg=spoofed: network.send(
+                            dg, origin=self.attacker_ip
+                        ),
+                    )
                 attacker_bytes += spoofed.wire_size
                 queries += 1
-        self.network.run()
+        network.run()
         inbound = victim_tap.inbound()
-        report = AttackReport(
+        network.detach_tap(self.victim_ip, victim_tap)
+        return AttackReport(
             queries_sent=queries,
             attacker_bytes=attacker_bytes,
             victim_bytes=sum(record.datagram.wire_size for record in inbound),
             victim_packets=len(inbound),
         )
-        self.network.detach_tap(self.victim_ip, victim_tap)
-        return report

@@ -540,11 +540,11 @@ def _cmd_exposure(args) -> int:
 
 def _cmd_amplify(args) -> int:
     from repro.amplification import (
-        AmplificationAttack,
         build_rich_zone,
         measure_amplification,
         sweep_qtypes,
     )
+    from repro.attacks import AmplificationAttack
     from repro.dnslib.constants import QueryType
     from repro.dnssrv.auth import AuthoritativeServer
     from repro.dnssrv.hierarchy import build_hierarchy

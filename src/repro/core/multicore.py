@@ -4,16 +4,18 @@
 runs in worker processes, it hands that round to :func:`run_multicore`,
 which runs the pending shards the ZDNS/ZMap scale-out way:
 
-- **Work distribution without task objects.** The parent sends each
-  worker only scalars: the config's field tuple plus
-  ``(worker_id, nworkers, attempt)``. The worker derives everything
-  else locally — its seed via :func:`~repro.core.shard.shard_seed` and
-  its strided probe slice ``universe[worker_id::nworkers]`` — exactly
-  as :func:`~repro.core.shard.run_shard` does in-process, so the
-  per-shard simulation is byte-identical wherever it runs. Under the
-  fork start method the parent primes the shared universe and world
-  memos first, so children inherit them instead of each recomputing
-  them.
+- **One task per child.** Each child receives its shard's
+  :class:`~repro.core.shard.ShardTask` as a plain process argument —
+  the same task an in-process round runs. Under the fork start method
+  the child inherits it without pickling, evolved
+  ``population_override`` included; under spawn or forkserver it
+  pickles like an outcome does. The child derives its seed via
+  :func:`~repro.core.shard.shard_seed` and its strided probe slice
+  ``universe[index::workers]`` exactly as
+  :func:`~repro.core.shard.run_shard` does in-process, so the
+  per-shard simulation is byte-identical wherever it runs. Under fork
+  the parent primes the shared universe and world memos first, so
+  children inherit them instead of each recomputing them.
 - **One result message per child.** Each worker holds the write end of
   its own one-way pipe and sends exactly one message on it: its
   outcome in the one outcome format (:mod:`repro.stream.codec`) or its
@@ -47,7 +49,6 @@ from repro.core.shard import (
     run_shard,
     shard_seed,
 )
-from repro.resolvers.population import SampledPopulation
 from repro.stream.codec import decode_outcome, encode_outcome
 
 __all__ = ["run_multicore", "DEFAULT_EVENT_BATCH"]
@@ -65,36 +66,9 @@ DEFAULT_EVENT_BATCH = 4096
 #: ``(index, workers, seed, message)`` error tuple a failed one.
 _PREFIX = struct.Struct("<?IId")
 
-#: Fork-inheritance slot for ``population_override``: an evolved world
-#: cannot be re-derived from the seed, so it cannot ride the scalar
-#: wire. The parent parks it here before forking and clears it after;
-#: forked children read it at task build time.
-_fork_override: SampledPopulation | None = None
 
-
-def _config_to_wire(config) -> tuple:
-    """The config as a flat scalar tuple (field order is the schema)."""
-    return tuple(
-        getattr(config, field.name) for field in dataclasses.fields(config)
-    )
-
-
-def _config_from_wire(wire: tuple):
-    from repro.core.campaign import CampaignConfig
-
-    names = [field.name for field in dataclasses.fields(CampaignConfig)]
-    return CampaignConfig(**dict(zip(names, wire)))
-
-
-def _worker_main(
-    wire: tuple,
-    index: int,
-    workers: int,
-    attempt: int,
-    writer: Connection,
-    telemetry_config,
-) -> None:
-    """One worker: derive the slice locally, scan, send one message.
+def _worker_main(task: ShardTask, writer: Connection) -> None:
+    """One worker: scan the task's slice, send one message.
 
     Runs as a forked child. Exactly one message leaves on ``writer``:
     the encoded outcome on success, the error tuple on
@@ -102,20 +76,12 @@ def _worker_main(
     reads the exit code instead.
     """
     try:
-        task = ShardTask(
-            config=_config_from_wire(wire),
-            index=index,
-            workers=workers,
-            population_override=_fork_override,
-            attempt=attempt,
-            telemetry=telemetry_config,
-        )
         busy_start = time.process_time()
         try:
             outcome = run_shard(task, event_batch=DEFAULT_EVENT_BATCH)
         except ShardExecutionError as exc:
             writer.send_bytes(
-                _PREFIX.pack(False, index, attempt, 0.0)
+                _PREFIX.pack(False, task.index, task.attempt, 0.0)
                 + pickle.dumps(
                     (exc.index, exc.workers, exc.seed, exc.message),
                     protocol=pickle.HIGHEST_PROTOCOL,
@@ -124,7 +90,8 @@ def _worker_main(
             return
         busy = time.process_time() - busy_start
         writer.send_bytes(
-            _PREFIX.pack(True, index, attempt, busy) + encode_outcome(outcome)
+            _PREFIX.pack(True, task.index, task.attempt, busy)
+            + encode_outcome(outcome)
         )
     finally:
         writer.close()
@@ -132,6 +99,7 @@ def _worker_main(
 
 @dataclasses.dataclass
 class _Child:
+    task: ShardTask
     reader: Connection
     proc: multiprocessing.Process
 
@@ -174,7 +142,6 @@ def _collect(
     outcomes: dict[int, ShardOutcome],
     errors: dict[int, BaseException],
     stats: dict,
-    config,
 ) -> None:
     """Take every child's message and exit, in the order they land.
 
@@ -199,9 +166,10 @@ def _collect(
             if message is not None:
                 _handle_message(message, outcomes, errors, stats)
             else:
+                task = child.task
                 errors[index] = ShardExecutionError(
-                    index, config.workers,
-                    shard_seed(config.seed, index, config.workers),
+                    index, task.workers,
+                    shard_seed(task.config.seed, index, task.workers),
                     "worker exited with code "
                     f"{child.proc.exitcode} before shipping a result",
                 )
@@ -217,16 +185,11 @@ def _abort(children: dict[int, _Child]) -> None:
 
 
 def run_multicore(
-    config,
-    pending: list[int],
-    attempts: dict[int, int],
-    population_override,
-    telemetry_config,
-    stats: dict,
+    tasks: list[ShardTask], stats: dict
 ) -> tuple[dict[int, ShardOutcome], dict[int, BaseException]]:
-    """Run one round's ``pending`` shards in forked children.
+    """Run one round's shard ``tasks`` in forked children.
 
-    One child and one result pipe per shard; returns the round's
+    One child and one result pipe per task; returns the round's
     ``(outcomes, errors)`` by shard index and accounts frames, bytes,
     transport and per-worker CPU-busy seconds on ``stats``. Its wall
     time is the parent waiting on its children. Raises ``OSError``
@@ -234,32 +197,23 @@ def run_multicore(
     be created — the caller decides whether to run the round inline.
     Any exception, an interrupt included, stops the round's children.
     """
-    global _fork_override
-    wire = _config_to_wire(config)
     outcomes: dict[int, ShardOutcome] = {}
     errors: dict[int, BaseException] = {}
     children: dict[int, _Child] = {}
     stats["transport"] = "pipe"
-    _fork_override = population_override
     try:
-        for index in pending:
+        for task in tasks:
             reader, writer = multiprocessing.Pipe(duplex=False)
             proc = multiprocessing.Process(
-                target=_worker_main,
-                args=(
-                    wire, index, config.workers, attempts[index], writer,
-                    telemetry_config,
-                ),
+                target=_worker_main, args=(task, writer)
             )
-            children[index] = _Child(reader, proc)
+            children[task.index] = _Child(task, reader, proc)
             try:
                 proc.start()
             finally:
                 writer.close()  # the child holds the only write end now
-        _collect(children, outcomes, errors, stats, config)
+        _collect(children, outcomes, errors, stats)
     except BaseException:
         _abort(children)
         raise
-    finally:
-        _fork_override = None
     return outcomes, errors

@@ -625,33 +625,16 @@ def _start_methods() -> list[str]:
         return []
 
 
-def _use_processes(
-    parallelism: str, workers: int, population_override
-) -> bool:
+def _use_processes(parallelism: str, workers: int) -> bool:
     """Whether the rounds of a ``workers``-shard campaign fork children.
 
     ``"process"`` forces children, ``"inline"`` forces in-process
     shards, ``"auto"`` forks whenever there is more than one shard and
-    the platform can start processes. An evolved ``population_override``
-    cannot ride the scalar wire, so it needs fork inheritance: without
-    fork, ``"auto"`` runs inline (announced) and ``"process"`` refuses.
+    the platform can start processes.
     """
     if parallelism == "inline":
         return False
     if parallelism == "auto" and (workers == 1 or not _start_methods()):
-        return False
-    if population_override is not None and "fork" not in _start_methods():
-        if parallelism == "process":
-            raise ValueError(
-                "population_override needs the fork start method (it "
-                "cannot ride the scalar wire); use parallelism='inline'"
-            )
-        warnings.warn(
-            "population_override cannot cross a non-fork process boundary; "
-            "shard rounds running inline",
-            RuntimeWarning,
-            stacklevel=3,
-        )
         return False
     return True
 
@@ -676,33 +659,20 @@ def _note_pool_fallback(reason: str, hub: TelemetryHub | None) -> None:
 
 
 def _run_round_inline(
-    config,
-    pending: list[int],
-    attempts: dict[int, int],
-    population_override,
-    telemetry_config,
-    stats: dict,
+    tasks: list[ShardTask], stats: dict
 ) -> tuple[dict[int, ShardOutcome], dict[int, BaseException]]:
-    """Run one round's shards in this process, one after another."""
+    """Run one round's shard ``tasks`` in this process, one after another."""
     stats["transport"] = "inline"
     outcomes: dict[int, ShardOutcome] = {}
     errors: dict[int, BaseException] = {}
-    for index in pending:
-        task = ShardTask(
-            config=config,
-            index=index,
-            workers=config.workers,
-            population_override=population_override,
-            attempt=attempts[index],
-            telemetry=telemetry_config,
-        )
+    for task in tasks:
         busy_start = time.process_time()
         try:
-            outcomes[index] = run_shard(task)
+            outcomes[task.index] = run_shard(task)
         except Exception as exc:
-            errors[index] = exc
+            errors[task.index] = exc
             continue
-        stats["worker_busy_s"][index] = round(
+        stats["worker_busy_s"][task.index] = round(
             time.process_time() - busy_start, 6
         )
     return outcomes, errors
@@ -773,7 +743,7 @@ def run_sharded(
     if checkpoint_dir is not None:
         from repro.datasets.store import save_shard_checkpoint
 
-    use_processes = _use_processes(parallelism, workers, population_override)
+    use_processes = _use_processes(parallelism, workers)
     if use_processes and population_override is None:
         # Fork children inherit the primed universe walk and sampled
         # world instead of each paying the O(universe) setup again.
@@ -798,22 +768,29 @@ def run_sharded(
     ):
         while pending:
             stats["rounds"] += 1
-            round_args = (
-                config, pending, attempts, population_override,
-                telemetry_config, stats,
-            )
+            tasks = [
+                ShardTask(
+                    config=config,
+                    index=index,
+                    workers=workers,
+                    population_override=population_override,
+                    attempt=attempts[index],
+                    telemetry=telemetry_config,
+                )
+                for index in pending
+            ]
             if use_processes:
                 from repro.core.multicore import run_multicore
 
                 try:
-                    outcomes, errors = run_multicore(*round_args)
+                    outcomes, errors = run_multicore(tasks, stats)
                 except OSError as exc:
                     if parallelism == "process":
                         raise
                     _note_pool_fallback(f"{type(exc).__name__}: {exc}", hub)
                     use_processes = False
             if not use_processes:
-                outcomes, errors = _run_round_inline(*round_args)
+                outcomes, errors = _run_round_inline(tasks, stats)
             for index in sorted(outcomes):
                 completed[index] = outcomes[index]
                 if checkpoint_dir is not None:

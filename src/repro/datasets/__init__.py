@@ -12,7 +12,6 @@ from repro.datasets.store import (
     CampaignDataset,
     DatasetAnalysis,
     analyze_dataset,
-    compare_datasets,
     load_campaign,
     load_shard_checkpoints,
     save_campaign,
@@ -23,7 +22,6 @@ __all__ = [
     "CampaignDataset",
     "DatasetAnalysis",
     "analyze_dataset",
-    "compare_datasets",
     "load_campaign",
     "load_shard_checkpoints",
     "save_campaign",

@@ -26,7 +26,6 @@ import json
 import os
 import pathlib
 
-from repro.analysis.compare import TemporalComparison, compare_years
 from repro.analysis.correctness import measure_correctness
 from repro.analysis.empty_question import EmptyQuestionDetail, measure_empty_question
 from repro.analysis.headers import (
@@ -43,7 +42,7 @@ from repro.analysis.malicious import (
 from repro.dnssrv.auth import QueryLogEntry
 from repro.netsim.packet import Datagram
 from repro.netsim.pcapfile import PcapWriter, read_pcap
-from repro.prober.capture import FlowSet, ProbeFlow, R2Record, parse_r2
+from repro.prober.capture import R2Record, join_flows
 from repro.stats import (
     CorrectnessTable,
     FlagTable,
@@ -388,25 +387,9 @@ class DatasetAnalysis:
     country_distribution: dict[str, int]
 
 
-def _rebuild_flow_set(dataset: CampaignDataset) -> FlowSet:
-    flows: dict[str, ProbeFlow] = {}
-    unjoinable = []
-    for record in dataset.r2_records:
-        view = parse_r2(record)
-        if view.qname is None:
-            unjoinable.append(view)
-            continue
-        flows.setdefault(view.qname, ProbeFlow(view.qname)).r2 = view
-    for entry in dataset.query_log:
-        flow = flows.setdefault(entry.qname, ProbeFlow(entry.qname))
-        flow.q2_timestamps.append(entry.timestamp)
-        flow.r1_count += 1
-    return FlowSet(flows=flows, unjoinable=unjoinable)
-
-
 def analyze_dataset(dataset: CampaignDataset) -> DatasetAnalysis:
     """Run the full table pipeline over a loaded dataset."""
-    flow_set = _rebuild_flow_set(dataset)
+    flow_set = join_flows(dataset.r2_records, dataset.query_log)
     views = flow_set.views
     truth = dataset.truth_ip
     metadata = dataset.metadata
@@ -437,18 +420,4 @@ def analyze_dataset(dataset: CampaignDataset) -> DatasetAnalysis:
         country_distribution=measure_country_distribution(
             views, truth, dataset.cymon, dataset.geo
         ),
-    )
-
-
-def compare_datasets(
-    before: DatasetAnalysis, after: DatasetAnalysis
-) -> TemporalComparison:
-    """The paper's temporal contrast over two stored datasets."""
-    return compare_years(
-        before.correctness,
-        after.correctness,
-        before.estimates,
-        after.estimates,
-        before.malicious_categories,
-        after.malicious_categories,
     )

@@ -10,10 +10,12 @@ mangling flag bits.
 Outstanding-entry lifecycle: every relayed query is remembered until
 the upstream answers *or* it ages past ``eviction_horizon`` — a
 blackholed upstream must not pin entries (and the serve daemon's
-drain gate) forever. The sweep is amortized like the rate limiter's
-idle-horizon eviction: it runs at most once per horizon from the
-packet handlers, and unconditionally from ``pending_count`` so drain
-polling alone retires dead entries.
+drain gate) forever. An answer counts only if it comes from the
+upstream the query went to and echoes the client's question. The
+sweep is amortized like the rate limiter's idle-horizon eviction: it
+runs at most once per horizon from the packet handlers, and
+unconditionally from ``pending_count`` so drain polling alone retires
+dead entries.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import dataclasses
 from repro.dnslib.constants import Rcode
 from repro.dnslib.message import DnsMessage, make_response
 from repro.dnslib.wire import DnsWireError, decode_message, encode_message
-from repro.dnssrv.txid import allocate_txid
+from repro.dnssrv.txid import allocate_txid, echoes_question
 from repro.netsim.packet import Datagram
 from repro.policy.engine import PolicyAction, PolicyEngine
 from repro.transport.base import Transport
@@ -40,6 +42,10 @@ class _Outstanding:
     client: Datagram
     created: float
     upstream_ip: str
+    #: The client's question (None for a query without one), which the
+    #: upstream's answer must echo.
+    qname: str | None = None
+    qtype: int | None = None
 
 
 class ForwardingResolver:
@@ -165,7 +171,10 @@ class ForwardingResolver:
         msg_id = self._allocate_txid()
         if msg_id is None:
             return
-        self._outstanding[msg_id] = _Outstanding(datagram, network.now, upstream_ip)
+        self._outstanding[msg_id] = _Outstanding(
+            datagram, network.now, upstream_ip, query.qname,
+            query.questions[0].qtype if query.questions else None,
+        )
         # The client's additionals (EDNS OPT and friends) ride along:
         # the upstream and the header-analysis tables need them intact.
         rewritten = DnsMessage(
@@ -195,9 +204,17 @@ class ForwardingResolver:
         except DnsWireError:
             return
         self._maybe_sweep(network.now)
-        outstanding = self._outstanding.pop(response.header.msg_id, None)
+        msg_id = response.header.msg_id
+        outstanding = self._outstanding.get(msg_id)
         if outstanding is None:
             return
+        if datagram.src_ip != outstanding.upstream_ip or not echoes_question(
+            response, outstanding.qname, outstanding.qtype
+        ):
+            # Forged, or late for an earlier use of this id: the real
+            # answer may still arrive before the entry is evicted.
+            return
+        del self._outstanding[msg_id]
         relayed = DnsMessage(
             header=dataclasses.replace(
                 response.header,

@@ -4,11 +4,13 @@ Implements Fig 1 of the paper: a client query arrives (step 1), the
 engine walks root → TLD → authoritative following referrals (steps
 2-7), caches the result and answers the client with RA=1 (step 8).
 
-The engine is fully event-driven over the simulated network: upstream
-queries are matched to pending resolutions by message ID, retries move
-to the next server of the current referral level, and exhaustion or
-depth overrun yields SERVFAIL — the standard-conformant behaviors the
-paper's deviant resolvers fail to exhibit.
+The engine is fully event-driven over the simulated network: an
+upstream answer completes the pending resolution whose message ID it
+carries only if it comes from the server that was asked and echoes the
+question that was asked; retries move to the next server of the
+current referral level, and exhaustion or depth overrun yields
+SERVFAIL — the standard-conformant behaviors the paper's deviant
+resolvers fail to exhibit.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.dnslib.fastwire import FastQuery, parse_simple_query
 from repro.dnslib.message import DnsMessage, make_query, make_response
 from repro.dnslib.wire import DnsWireError, decode_message, encode_message
 from repro.dnssrv.cache import DnsCache
-from repro.dnssrv.txid import allocate_txid
+from repro.dnssrv.txid import allocate_txid, echoes_question
 from repro.netsim.packet import Datagram
 from repro.policy.engine import PolicyAction
 from repro.transport.base import CancelHandle, Transport
@@ -424,9 +426,18 @@ class RecursiveResolver:
             response = decode_message(datagram.payload)
         except DnsWireError:
             return
-        pending = self._pending.pop(response.header.msg_id, None)
+        msg_id = response.header.msg_id
+        pending = self._pending.get(msg_id)
         if pending is None:
             return  # late or unsolicited
+        asked = pending.servers[pending.server_index]
+        if datagram.src_ip != asked or not echoes_question(
+            response, pending.qname, pending.qtype
+        ):
+            # Forged, or late for an earlier use of this id: the real
+            # answer may still arrive before the timeout.
+            return
+        del self._pending[msg_id]
         if pending.timeout_event is not None:
             pending.timeout_event.cancel()
         self._advance(pending, datagram.src_ip, response)

@@ -1,23 +1,8 @@
 """Report generation: campaign results as standalone documents."""
 
-from repro.reporting.markdown import (
-    comparison_markdown,
-    campaign_markdown,
-    write_markdown_report,
-)
-from repro.reporting.jsonio import (
-    diff_results,
-    load_json_results,
-    result_to_dict,
-    write_json_results,
-)
+from repro.reporting.markdown import campaign_markdown, write_markdown_report
 
 __all__ = [
     "campaign_markdown",
-    "comparison_markdown",
-    "diff_results",
-    "load_json_results",
-    "result_to_dict",
-    "write_json_results",
     "write_markdown_report",
 ]

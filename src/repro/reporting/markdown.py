@@ -1,15 +1,14 @@
 """Markdown rendering of campaign results.
 
-Produces a self-contained document — headline, methodology note, every
-table in fenced blocks, and the paper-comparison checklist — suitable
-for committing next to a saved dataset or posting as a scan report.
+Produces a self-contained document — headline, the paper's reference
+values, every table in fenced blocks — suitable for committing next to
+a saved dataset or posting as a scan report.
 """
 
 from __future__ import annotations
 
 import pathlib
 
-from repro.analysis.compare import TemporalComparison
 from repro.analysis.report import (
     render_correctness,
     render_country_distribution,
@@ -128,66 +127,6 @@ def campaign_markdown(result) -> str:
         f"- correct regardless of RA: "
         f"**{result.estimates.correct_any_flag:,}** "
         f"(~{result.estimates.correct_any_flag * result.scale:,} full-scale)",
-        "",
-    ]
-    return "\n".join(lines)
-
-
-def comparison_markdown(
-    result_2013, result_2018, comparison: TemporalComparison
-) -> str:
-    """The temporal contrast as a markdown document."""
-
-    def check(flag: bool) -> str:
-        return "yes" if flag else "NO"
-
-    lines = [
-        "# Temporal contrast — 2013 vs 2018",
-        "",
-        "## Headline",
-        "",
-        comparison.headline(),
-        "",
-        "## Paper conclusions, checked",
-        "",
-        "| Claim | Holds |",
-        "|---|---|",
-        f"| Open resolvers declined (~4x) | "
-        f"{check(comparison.open_resolvers_declined)} "
-        f"({comparison.open_resolver_ratio:.2f}x) |",
-        f"| Incorrect answers stayed flat | "
-        f"{check(comparison.incorrect_stayed_flat)} "
-        f"({comparison.incorrect_ratio:.2f}x) |",
-        f"| Malicious responses increased (~2x) | "
-        f"{check(comparison.malicious_increased)} "
-        f"({comparison.malicious_r2_ratio:.2f}x) |",
-        "",
-        "## Side-by-side tables",
-        "",
-        _fence(
-            render_probe_summary(
-                [
-                    result_2013.extrapolated_summary(),
-                    result_2018.extrapolated_summary(),
-                ],
-                title="Table II (extrapolated)",
-            )
-        ),
-        "",
-        _fence(
-            render_correctness(
-                {2013: result_2013.correctness, 2018: result_2018.correctness}
-            )
-        ),
-        "",
-        _fence(
-            render_malicious_categories(
-                {
-                    2013: result_2013.malicious_categories,
-                    2018: result_2018.malicious_categories,
-                }
-            )
-        ),
         "",
     ]
     return "\n".join(lines)

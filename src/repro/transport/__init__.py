@@ -1,4 +1,4 @@
-"""Pluggable transports: one serving stack, three wires.
+"""Pluggable transports: one serving stack, two wires.
 
 The protocol and backends live in submodules; the daemon built on top
 of them is :mod:`repro.transport.serve` (imported lazily by the CLI so
@@ -13,13 +13,6 @@ from repro.transport.base import (
     Transport,
     TransportError,
 )
-from repro.transport.replay import (
-    ReplayTransport,
-    TraceEvent,
-    TraceRecorder,
-    load_trace,
-    save_trace,
-)
 from repro.transport.sim import SimTransport
 from repro.transport.socketio import AsyncUdpTransport, SocketStats
 
@@ -29,13 +22,8 @@ __all__ = [
     "Endpoint",
     "Handler",
     "Listener",
-    "ReplayTransport",
     "SimTransport",
     "SocketStats",
-    "TraceEvent",
-    "TraceRecorder",
     "Transport",
     "TransportError",
-    "load_trace",
-    "save_trace",
 ]

@@ -5,10 +5,10 @@ resolver, the forwarding proxy and the behavior hosts were welded to
 ``repro.netsim.Network``: they could only answer queries inside the
 discrete-event clock. The :class:`Transport` protocol is the seam that
 frees them — the same five operations (``bind``/``unbind``/``send``/
-``now``/``schedule``) cover a simulated internet, a real asyncio UDP
-socket loop, and a recorded-trace replay harness, so one resolver
-implementation serves golden-table simulations, live loopback traffic
-and pcap-style regression replays without a line of per-backend code.
+``now``/``schedule``) cover a simulated internet and a real asyncio
+UDP socket loop, so one resolver implementation serves golden-table
+simulations and live loopback traffic without a line of per-backend
+code.
 
 Backends:
 
@@ -21,9 +21,6 @@ Backends:
 :class:`~repro.transport.socketio.AsyncUdpTransport`
                           real non-blocking UDP sockets on an asyncio
                           loop (the ``repro serve`` daemon)
-:class:`~repro.transport.replay.ReplayTransport`
-                          recorded inbound frames replayed on a
-                          deterministic clock, responses captured
 ========================  ==========================================
 
 ``Network`` itself satisfies the protocol structurally (it grew a

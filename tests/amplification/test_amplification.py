@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.amplification.attack import AmplificationAttack
+from repro.attacks.reflection import AmplificationAttack
 from repro.amplification.factor import (
     build_rich_zone,
     measure_amplification,

@@ -1,5 +1,7 @@
 """CLI tests: every subcommand runs end to end at a coarse scale."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -90,6 +92,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Amplification factors" in out
         assert "victim absorbed" in out
+
+    def test_amplify_output_is_pinned(self, capsys):
+        # The factor table and the spoofed attack are fully seeded: any
+        # byte that moves is a change in the reflection attack or in the
+        # servers it bounces off.
+        assert main(["amplify", "--resolvers", "5", "--rounds", "1"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ec241eb3d2a995bc979654cb69eee81971548cd306272878990354574a125e58"
+        )
 
     def test_dnssec(self, capsys):
         assert main(["dnssec", "--scale", "32768", "--seed", "1"]) == 0

@@ -2,22 +2,21 @@
 
 Campaign-level byte identity across transports lives in
 ``tests/conformance/test_engines.py``; this file covers the process
-rounds' own machinery — scalar-only work distribution, the one result
+rounds' own machinery — one shard task per child, the one result
 message per child, fault paths, engine stats, and the loud fallback
 when children cannot start.
 """
 
 import dataclasses
 import multiprocessing
-import pickle
 import signal
 import warnings
 
 import pytest
 
 from repro.core import Campaign, CampaignConfig
-from repro.core.multicore import _config_from_wire, _config_to_wire
 from repro.core.shard import CHAOS_EXIT_ENV, CHAOS_RAISE_ENV, run_sharded
+from repro.monitor.churn import ChurnModel, evolve_population
 
 SCALE = 65536
 
@@ -28,20 +27,26 @@ def _config(**overrides):
     return dataclasses.replace(BASE, **overrides)
 
 
-class TestWireConfig:
-    def test_round_trips_every_field(self):
-        config = _config(
-            mode="stream", drop_captures=True, fault_profile="bursty",
-            engine="multicore", time_compression=4.0,
+class TestPopulationOverride:
+    def test_forked_rounds_scan_the_evolved_world(self):
+        # An evolved world cannot be re-derived from the seed: forked
+        # children must scan exactly the population the parent holds.
+        campaign = Campaign(_config())
+        first = campaign.run()
+        evolved = evolve_population(
+            first.population, ChurnModel(), seed=4,
+            universe=campaign.build_universe(),
         )
-        assert _config_from_wire(_config_to_wire(config)) == config
-
-    def test_wire_is_scalars_only(self):
-        # The shared-nothing contract: nothing object-shaped crosses
-        # the boundary, so the wire tuple must pickle to a few hundred
-        # bytes no matter the campaign size.
-        wire = _config_to_wire(_config(scale=1024))
-        assert len(pickle.dumps(wire)) < 1024
+        forked = run_sharded(
+            _config(), population_override=evolved, parallelism="process"
+        )
+        inline = run_sharded(
+            _config(), population_override=evolved, parallelism="inline"
+        )
+        assert forked.engine_stats["transport"] == "pipe"
+        assert inline.engine_stats["transport"] == "inline"
+        assert forked.report() == inline.report()
+        assert forked.report() != first.report()
 
 
 class TestEngineStats:

@@ -7,7 +7,6 @@ import pytest
 from repro.core import Campaign, CampaignConfig
 from repro.datasets import (
     analyze_dataset,
-    compare_datasets,
     load_campaign,
     save_campaign,
 )
@@ -87,17 +86,6 @@ class TestOfflineAnalysis:
         assert analysis.probe_summary.q1 == result.probe_summary.q1
         assert analysis.probe_summary.r2 == result.probe_summary.r2
         assert analysis.probe_summary.q2_r1 == result.probe_summary.q2_r1
-
-    def test_compare_datasets(self, saved, tmp_path_factory):
-        result_2013 = Campaign(
-            CampaignConfig(year=2013, scale=16384, seed=5, time_compression=64.0)
-        ).run()
-        directory = tmp_path_factory.mktemp("dataset") / "campaign-2013"
-        save_campaign(result_2013, directory)
-        before = analyze_dataset(load_campaign(directory))
-        after = analyze_dataset(load_campaign(saved))
-        comparison = compare_datasets(before, after)
-        assert comparison.open_resolvers_declined
 
 
 class TestShardCheckpointDurability:

@@ -5,8 +5,8 @@ import dataclasses
 import pytest
 
 from repro.dnslib.constants import QueryType, Rcode
-from repro.dnslib.message import make_query
-from repro.dnslib.records import OptData, ResourceRecord
+from repro.dnslib.message import make_query, make_response
+from repro.dnslib.records import AData, OptData, ResourceRecord
 from repro.dnslib.wire import decode_message, encode_message
 from repro.dnslib.zone import parse_master_file
 from repro.dnssrv.forwarder import ForwardingResolver, _Outstanding
@@ -208,6 +208,80 @@ class TestTxidAllocation:
         assert proxy.pending_count == 0
         assert len(responses) == 2
         assert proxy.relayed == 2
+
+
+class TestUpstreamAnswerMatching:
+    """Regression: an upstream answer was matched by its id alone, so a
+    forged answer or a late one for an earlier use of the id was relayed
+    to the client, and the real answer was dropped as unsolicited."""
+
+    def setup_world(self):
+        network, proxy = build_blackholed(horizon=5.0)
+        replies = []
+        network.bind(
+            CLIENT_IP, 5555,
+            lambda dg, net: replies.append(decode_message(dg.payload)),
+        )
+        return network, proxy, replies
+
+    def answer(self, network, proxy, src_ip, msg_id, qname, address):
+        response = make_response(
+            make_query(qname, msg_id=msg_id), aa=True,
+            answers=[ResourceRecord(qname, QueryType.A, data=AData(address))],
+        )
+        proxy.handle_upstream(
+            Datagram(src_ip, 53, PROXY_IP, proxy.forward_port,
+                     encode_message(response)),
+            network,
+        )
+        network.run()
+
+    def test_answer_from_another_source_is_dropped(self):
+        network, proxy, replies = self.setup_world()
+        send_query(network, "a.ucfsealresearch.net", msg_id=41)
+        (msg_id,) = proxy._outstanding
+        self.answer(
+            network, proxy, "6.6.6.6", msg_id, "a.ucfsealresearch.net",
+            "6.6.6.6",
+        )
+        assert replies == []
+        assert proxy.pending_count == 1
+        self.answer(
+            network, proxy, proxy.upstream_ip, msg_id,
+            "a.ucfsealresearch.net", "192.0.2.1",
+        )
+        (reply,) = replies
+        assert reply.header.msg_id == 41
+        assert reply.first_a_record().data.address == "192.0.2.1"
+        assert proxy.pending_count == 0
+
+    def test_late_answer_for_a_reused_id_is_dropped(self):
+        network, proxy, replies = self.setup_world()
+        send_query(network, "a.ucfsealresearch.net", msg_id=41)
+        (parked,) = proxy._outstanding
+        # Client A's entry ages out unanswered; client B's query reuses
+        # its id.
+        network.schedule(5.0, lambda: None)
+        network.run()
+        assert proxy.pending_count == 0
+        proxy._next_id = parked
+        send_query(network, "b.ucfsealresearch.net", msg_id=42)
+        assert list(proxy._outstanding) == [parked]
+        self.answer(
+            network, proxy, proxy.upstream_ip, parked,
+            "a.ucfsealresearch.net", "192.0.2.1",
+        )
+        assert replies == []
+        self.answer(
+            network, proxy, proxy.upstream_ip, parked,
+            "b.ucfsealresearch.net", "192.0.2.2",
+        )
+        (reply,) = replies
+        assert reply.header.msg_id == 42
+        assert reply.qname == "b.ucfsealresearch.net"
+        assert [record.name for record in reply.answers] == [
+            "b.ucfsealresearch.net"
+        ]
 
 
 class TestAdditionalsCarriedThrough:

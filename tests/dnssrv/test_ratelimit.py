@@ -51,7 +51,8 @@ class TestTokenBucket:
 
 class TestRrlOnResolver:
     def test_rrl_caps_amplification(self):
-        from repro.amplification import AmplificationAttack, build_rich_zone
+        from repro.amplification import build_rich_zone
+        from repro.attacks import AmplificationAttack
         from repro.dnssrv.hierarchy import build_hierarchy
         from repro.dnssrv.recursive import RecursiveResolver
         from repro.netsim.network import Network

@@ -441,3 +441,89 @@ class TestTxidInterleavings:
             (reply,) = replies[port]
             assert reply.header.msg_id == msg_id
             assert reply.qname == qname
+            assert all(record.name == qname for record in reply.answers)
+
+
+def _a_answer(asked, address):
+    """An authoritative A answer to ``asked`` pointing at ``address``."""
+    return make_response(
+        asked, aa=True, ra=False,
+        answers=[ResourceRecord(asked.qname, QueryType.A,
+                                data=AData(address))],
+    )
+
+
+class TestUpstreamAnswerMatching:
+    """Regression: an upstream answer was matched by its id alone, so a
+    forged answer or a late one for an earlier use of the id completed
+    the resolution, and the real answer was dropped as unsolicited."""
+
+    def setup_world(self):
+        transport = _ClockTransport()
+        resolver = RecursiveResolver(
+            RESOLVER_IP, TXID_ROOTS, timeout=TXID_TIMEOUT
+        )
+        resolver.attach(transport)
+        return transport, resolver
+
+    def ask(self, transport, resolver, qname, port):
+        resolver.handle_client(
+            Datagram(CLIENT_IP, port, RESOLVER_IP, 53,
+                     build_query_wire(qname, msg_id=port)),
+            transport,
+        )
+        (upstream,) = transport.sent
+        transport.sent.clear()
+        return upstream
+
+    def answer(self, transport, resolver, src_ip, response):
+        resolver.handle_upstream(
+            Datagram(src_ip, 53, RESOLVER_IP, resolver.upstream_port,
+                     encode_message(response)),
+            transport,
+        )
+        replies = [decode_message(dg.payload) for dg in transport.sent]
+        transport.sent.clear()
+        return replies
+
+    def test_answer_from_another_source_is_dropped(self):
+        transport, resolver = self.setup_world()
+        upstream = self.ask(transport, resolver, "a.ucfsealresearch.net", 7001)
+        asked = decode_message(upstream.payload)
+        forged = _a_answer(asked, "6.6.6.6")
+        assert self.answer(transport, resolver, "6.6.6.6", forged) == []
+        assert resolver.pending_count == 1
+        real = _a_answer(asked, "192.0.2.1")
+        (reply,) = self.answer(transport, resolver, upstream.dst_ip, real)
+        assert reply.first_a_record().data.address == "192.0.2.1"
+        assert resolver.pending_count == 0
+
+    def test_late_answer_for_a_reused_id_is_dropped(self):
+        transport, resolver = self.setup_world()
+        first = self.ask(transport, resolver, "a.ucfsealresearch.net", 7001)
+        # Client A's query waits out its timeout and moves on to the
+        # second root, freeing its id; client B's query reuses that id
+        # against the first root.
+        transport.advance(TXID_TIMEOUT)
+        (retry,) = transport.sent
+        transport.sent.clear()
+        resolver._next_id = decode_message(first.payload).header.msg_id
+        second = self.ask(transport, resolver, "b.ucfsealresearch.net", 7002)
+        assert second.payload[:2] == first.payload[:2]
+        assert second.dst_ip == first.dst_ip
+        late = _a_answer(decode_message(first.payload), "192.0.2.1")
+        assert self.answer(transport, resolver, first.dst_ip, late) == []
+        (reply_b,) = self.answer(
+            transport, resolver, second.dst_ip,
+            _a_answer(decode_message(second.payload), "192.0.2.2"),
+        )
+        assert reply_b.qname == "b.ucfsealresearch.net"
+        assert [record.name for record in reply_b.answers] == [
+            "b.ucfsealresearch.net"
+        ]
+        (reply_a,) = self.answer(
+            transport, resolver, retry.dst_ip,
+            _a_answer(decode_message(retry.payload), "192.0.2.1"),
+        )
+        assert reply_a.qname == "a.ucfsealresearch.net"
+        assert resolver.pending_count == 0

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.analysis.compare import compare_years
 from repro.core import Campaign, CampaignConfig
-from repro.reporting import (
-    campaign_markdown,
-    comparison_markdown,
-    write_markdown_report,
-)
+from repro.reporting import campaign_markdown, write_markdown_report
 
 
 @pytest.fixture(scope="module")
@@ -45,22 +40,3 @@ class TestCampaignMarkdown:
         target = write_markdown_report(result, tmp_path / "sub" / "report.md")
         assert target.exists()
         assert "# Open-resolver scan report" in target.read_text()
-
-
-class TestComparisonMarkdown:
-    def test_checklist(self, result):
-        result_2013 = Campaign(
-            CampaignConfig(year=2013, scale=16384, seed=19, time_compression=64.0)
-        ).run()
-        comparison = compare_years(
-            result_2013.correctness,
-            result.correctness,
-            result_2013.estimates,
-            result.estimates,
-            result_2013.malicious_categories,
-            result.malicious_categories,
-        )
-        document = comparison_markdown(result_2013, result, comparison)
-        assert "# Temporal contrast — 2013 vs 2018" in document
-        assert "| Claim | Holds |" in document
-        assert "Open resolvers declined" in document

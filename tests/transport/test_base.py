@@ -11,7 +11,6 @@ from repro.transport import (
     CancelHandle,
     Endpoint,
     Listener,
-    ReplayTransport,
     SimTransport,
     Transport,
     TransportError,
@@ -25,9 +24,7 @@ class TestProtocolConformance:
         # networks everywhere the simulator already passes them.
         assert isinstance(Network(), Transport)
 
-    @pytest.mark.parametrize(
-        "factory", [SimTransport, ReplayTransport, AsyncUdpTransport]
-    )
+    @pytest.mark.parametrize("factory", [SimTransport, AsyncUdpTransport])
     def test_backends_are_transports(self, factory):
         assert isinstance(factory(), Transport)
 
@@ -86,20 +83,6 @@ class TestSimTransport:
         transport.send(Datagram("10.0.0.9", 40000, "10.0.0.3", 53, b"ping"))
         transport.run()
         assert [dg.payload for dg in replies] == [b"pong"]
-
-
-class TestReplayBindingRules:
-    def test_double_bind_raises(self):
-        transport = ReplayTransport()
-        transport.bind("10.0.0.1", 53, lambda dg, net: None)
-        with pytest.raises(TransportError):
-            transport.bind("10.0.0.1", 53, lambda dg, net: None)
-
-    def test_replay_runs_exactly_once(self):
-        transport = ReplayTransport()
-        transport.run()
-        with pytest.raises(TransportError):
-            transport.run()
 
 
 class TestAsyncUdpBindingRules:
