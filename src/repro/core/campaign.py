@@ -258,7 +258,8 @@ class CampaignResult:
     forwarder_table: ForwarderTable | None = None
     #: Bogus-probe validation census (``config.dnssec`` only): who
     #: blocks a deliberately broken RRSIG while resolving the control
-    #: name. Computed on its own derived-seed network, so it is
+    #: name. Computed on its own derived-seed network, beside the scan
+    #: in a child of its own when the campaign may fork, so it is
     #: byte-identical across serial/sharded/stream/resume runs.
     validation_table: ValidationTable | None = None
     #: Attack × defense matrix (``config.attack_suite`` only): the
@@ -433,15 +434,20 @@ class Campaign:
         dnssec_validators: set[str],
         capture: ProbeCapture,
         flow_set: FlowSet,
+        validation_table: ValidationTable | None,
         query_log: list | None = None,
     ) -> CampaignResult:
+        """Build the result by running the batch analyzers over views.
+
+        ``validation_table`` is the validation census's table (None
+        with ``dnssec`` off): the census runs beside the scan
+        (:func:`repro.core.shard.run_sharded`), not here.
+        """
         truth = hierarchy.auth.ip
         views = flow_set.views
         return CampaignResult(
             forwarder_table=measure_forwarders(flow_set, capture.targets),
-            validation_table=self._validation_table(
-                population, dnssec_validators
-            ),
+            validation_table=validation_table,
             attack_matrix=self._attack_matrix(),
             config=self.config,
             profile=self.profile,
@@ -488,6 +494,7 @@ class Campaign:
         flow_set: FlowSet,
         aggregate: TableAggregate,
         stream_stats: StreamStats,
+        validation_table: ValidationTable | None,
         query_log: list | None = None,
     ) -> CampaignResult:
         """Build the result from folded accumulators instead of views.
@@ -498,9 +505,7 @@ class Campaign:
         """
         return CampaignResult(
             forwarder_table=aggregate.forwarder_table(),
-            validation_table=self._validation_table(
-                population, dnssec_validators
-            ),
+            validation_table=validation_table,
             attack_matrix=self._attack_matrix(),
             config=self.config,
             profile=self.profile,
@@ -538,28 +543,6 @@ class Campaign:
             query_log=query_log if query_log is not None else [],
             stream_stats=stream_stats,
         )
-
-    def _validation_table(
-        self,
-        population: SampledPopulation,
-        dnssec_validators: set[str],
-    ) -> ValidationTable | None:
-        """The bogus-probe census table, when DNSSEC probing is on.
-
-        Runs on its own derived-seed network
-        (:func:`repro.dnssec.validation.run_validation_census`), a pure
-        function of ``(year, seed, latency_median, loss_rate,
-        fault_profile)`` and the population — so every execution mode
-        of the same campaign reports the same bytes.
-        """
-        if not self.config.dnssec:
-            return None
-        from repro.dnssec.validation import run_validation_census
-
-        census = run_validation_census(
-            self.config, population, dnssec_validators or None
-        )
-        return census.table()
 
     def _attack_matrix(self) -> AttackMatrix | None:
         """The adversarial suite's matrix, when ``attack_suite`` is on.

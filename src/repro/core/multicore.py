@@ -31,6 +31,14 @@ A worker that raises sends its error; a worker that dies without a
 message (chaos kill, crash) is detected by its exit code. Either way
 the shard comes back as an error, and ``run_sharded`` decides whether
 to requeue it.
+
+The validation census runs through the same entry point: ``run_sharded``
+forks it once (:func:`start_child`) as soon as the world is primed, so
+it runs beside every round, and collects its table after the last one
+(:func:`collect_census`). It has its own pipe and sends one pickled
+``(ok, table or error, busy)`` message; that message is not a shard
+frame, so it counts in neither ``frames`` nor ``bytes_shipped`` and adds
+no ``worker_busy_s`` entry.
 """
 
 from __future__ import annotations
@@ -43,15 +51,24 @@ import time
 from multiprocessing.connection import Connection, wait
 
 from repro.core.shard import (
+    CensusTask,
     ShardExecutionError,
     ShardOutcome,
     ShardTask,
     run_shard,
     shard_seed,
+    validation_census_table,
 )
+from repro.stats import ValidationTable
 from repro.stream.codec import decode_outcome, encode_outcome
 
-__all__ = ["run_multicore", "DEFAULT_EVENT_BATCH"]
+__all__ = [
+    "run_multicore",
+    "start_child",
+    "stop_child",
+    "collect_census",
+    "DEFAULT_EVENT_BATCH",
+]
 
 #: Scheduler events pulled per batch inside each worker. Large enough
 #: to amortize the batch-boundary work to noise, small enough that
@@ -67,15 +84,19 @@ DEFAULT_EVENT_BATCH = 4096
 _PREFIX = struct.Struct("<?IId")
 
 
-def _worker_main(task: ShardTask, writer: Connection) -> None:
-    """One worker: scan the task's slice, send one message.
+def _worker_main(task: ShardTask | CensusTask, writer: Connection) -> None:
+    """One worker: run the task, send one message.
 
-    Runs as a forked child. Exactly one message leaves on ``writer``:
-    the encoded outcome on success, the error tuple on
-    :class:`ShardExecutionError`. A hard kill sends nothing; the parent
-    reads the exit code instead.
+    Runs as a forked child. Exactly one message leaves on ``writer``.
+    For a shard it is the encoded outcome on success, the error tuple
+    on :class:`ShardExecutionError`; for the census, its pickled
+    result (:func:`_census_message`). A hard kill sends nothing; the
+    parent reads the exit code instead.
     """
     try:
+        if isinstance(task, CensusTask):
+            writer.send_bytes(_census_message(task))
+            return
         busy_start = time.process_time()
         try:
             outcome = run_shard(task, event_batch=DEFAULT_EVENT_BATCH)
@@ -97,11 +118,48 @@ def _worker_main(task: ShardTask, writer: Connection) -> None:
         writer.close()
 
 
+def _census_message(task: CensusTask) -> bytes:
+    """The census child's one message: ``(ok, table or error, busy)``.
+
+    An error travels as the exception itself, so the parent raises it
+    with the child's type and message. The table pickles to ~120 B;
+    the census itself, which grows with the population, stays here.
+    """
+    busy_start = time.process_time()
+    try:
+        result = (True, validation_census_table(task))
+    except Exception as exc:
+        result = (False, exc)
+    busy = time.process_time() - busy_start
+    return pickle.dumps((*result, busy), protocol=pickle.HIGHEST_PROTOCOL)
+
+
 @dataclasses.dataclass
 class _Child:
-    task: ShardTask
+    task: ShardTask | CensusTask
     reader: Connection
     proc: multiprocessing.Process
+
+
+def start_child(task: ShardTask | CensusTask) -> _Child:
+    """Fork one worker for ``task``; ``OSError`` if it cannot start.
+
+    The parent keeps the read end of the child's pipe and closes its
+    copy of the write end, so the pipe reads as end of file once the
+    child exits.
+    """
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    child = _Child(task, reader, multiprocessing.Process(
+        target=_worker_main, args=(task, writer)
+    ))
+    try:
+        child.proc.start()
+    except BaseException:
+        reader.close()
+        raise
+    finally:
+        writer.close()  # the child holds the only write end now
+    return child
 
 
 def _receive(reader: Connection) -> bytes | None:
@@ -175,13 +233,39 @@ def _collect(
                 )
 
 
+def stop_child(child: _Child) -> None:
+    """Stop a child and reap it; one that already exited is just reaped."""
+    if child.proc.pid is not None:
+        child.proc.terminate()
+        child.proc.join()
+    child.reader.close()
+
+
 def _abort(children: dict[int, _Child]) -> None:
     """Stop a round that failed to start or was interrupted mid-wait."""
     for child in children.values():
-        if child.proc.pid is not None:
-            child.proc.terminate()
-            child.proc.join()
-        child.reader.close()
+        stop_child(child)
+
+
+def collect_census(child: _Child) -> tuple[ValidationTable, float]:
+    """The census's ``(table, CPU-busy seconds)``; raises its error.
+
+    Blocks until the child's message or its exit, reads the pipe before
+    joining the child, and raises the census's own exception, or a
+    :class:`RuntimeError` naming the census and its exit code when the
+    child exited without a message.
+    """
+    message = _receive(child.reader)
+    child.proc.join()
+    if message is None:
+        raise RuntimeError(
+            f"validation census exited with code {child.proc.exitcode} "
+            "before sending its table"
+        )
+    ok, payload, busy = pickle.loads(message)
+    if not ok:
+        raise payload
+    return payload, busy
 
 
 def run_multicore(
@@ -203,15 +287,7 @@ def run_multicore(
     stats["transport"] = "pipe"
     try:
         for task in tasks:
-            reader, writer = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(
-                target=_worker_main, args=(task, writer)
-            )
-            children[task.index] = _Child(task, reader, proc)
-            try:
-                proc.start()
-            finally:
-                writer.close()  # the child holds the only write end now
+            children[task.index] = start_child(task)
         _collect(children, outcomes, errors, stats)
     except BaseException:
         _abort(children)

@@ -95,6 +95,7 @@ from repro.resolvers.population import (
     deploy_forwarder_upstreams,
 )
 from repro.resolvers.profiles import profile_for_year
+from repro.stats import ValidationTable
 from repro.stream.aggregate import TableAggregate, merge_aggregates
 from repro.stream.assembler import StreamStats
 from repro.stream.pipeline import StreamPipeline
@@ -342,14 +343,36 @@ def prime_shard_caches(config) -> None:
     _campaign_world(config, _campaign_universe(config))
 
 
+def _world(config, population_override=None) -> tuple:
+    """(population, software_map, banners, validators) of a campaign.
+
+    The cached world for ``config``, or ``population_override`` with
+    the overlays applied. Deterministic in (seed, scale, year) and the
+    override, so every process that asks gets the same population.
+    """
+    if population_override is None:
+        return _campaign_world(config, _campaign_universe(config))
+    # An evolved world bypasses the cache: it is not derivable from
+    # the config. It shares assignment objects with the population it
+    # evolved from — often the cached world — and the transparent
+    # overlay rewrites specs in place, so the overlay runs on copies.
+    return _overlay_world(config, dataclasses.replace(
+        population_override,
+        assignments=[
+            dataclasses.replace(assignment)
+            for assignment in population_override.assignments
+        ],
+    ))
+
+
 def _build_world(config, seed: int, population_override=None) -> tuple:
     """One campaign world: network, hierarchy, population and intel.
 
     Returns (network, hierarchy, population, software_map, banners,
-    validators); nothing is deployed yet. Deterministic in (seed,
-    scale, year): every shard and the parent's follow-up world see the
-    same population, so behavior does not depend on which process
-    deploys which host. ``seed`` seeds the network only.
+    validators); nothing is deployed yet. Every shard and the parent's
+    follow-up world see the same population (:func:`_world`), so
+    behavior does not depend on which process deploys which host.
+    ``seed`` seeds the network only.
     """
     network = Network(
         seed=seed,
@@ -357,22 +380,39 @@ def _build_world(config, seed: int, population_override=None) -> tuple:
         loss=BernoulliLoss(config.loss_rate) if config.loss_rate else None,
     )
     hierarchy = build_hierarchy(network)
-    if population_override is not None:
-        # An evolved world bypasses the cache: it is not derivable
-        # from the config. It shares assignment objects with the
-        # population it evolved from — often the cached world — and
-        # the transparent overlay rewrites specs in place, so the
-        # overlay runs on copies.
-        world = _overlay_world(config, dataclasses.replace(
-            population_override,
-            assignments=[
-                dataclasses.replace(assignment)
-                for assignment in population_override.assignments
-            ],
-        ))
-    else:
-        world = _campaign_world(config, _campaign_universe(config))
-    return (network, hierarchy, *world)
+    return (network, hierarchy, *_world(config, population_override))
+
+
+@dataclasses.dataclass(frozen=True)
+class CensusTask:
+    """The validation census's assignment: which campaign's population.
+
+    Like :class:`ShardTask` it is small: the census rebuilds the world
+    from the config, or overlays the explicit ``population_override``.
+    """
+
+    config: "CampaignConfig"  # noqa: F821 - imported lazily to avoid a cycle
+    population_override: SampledPopulation | None = None
+
+
+def validation_census_table(task: CensusTask) -> ValidationTable:
+    """The campaign's bogus-probe validation census table.
+
+    Runs :func:`repro.dnssec.validation.run_validation_census` on its
+    own derived-seed network against the campaign's population. It
+    reads nothing from the scan, so a forked child and this process
+    compute the same bytes from the same task, before, beside or after
+    the rounds.
+    """
+    from repro.dnssec.validation import run_validation_census
+
+    population, _, _, validators = _world(
+        task.config, task.population_override
+    )
+    census = run_validation_census(
+        task.config, population, validators or None
+    )
+    return census.table()
 
 
 def _hosts_in_slice(
@@ -625,28 +665,89 @@ def _start_methods() -> list[str]:
         return []
 
 
-def _use_processes(parallelism: str, workers: int) -> bool:
-    """Whether the rounds of a ``workers``-shard campaign fork children.
+def _may_fork(parallelism: str) -> bool:
+    """Whether a campaign may start child processes at all.
 
-    ``"process"`` forces children, ``"inline"`` forces in-process
-    shards, ``"auto"`` forks whenever there is more than one shard and
-    the platform can start processes.
+    ``"process"`` forces children, ``"inline"`` forbids them, ``"auto"``
+    allows them when the platform can start processes.
     """
     if parallelism == "inline":
         return False
-    if parallelism == "auto" and (workers == 1 or not _start_methods()):
-        return False
-    return True
+    return parallelism == "process" or bool(_start_methods())
+
+
+def _use_processes(parallelism: str, workers: int) -> bool:
+    """Whether the rounds of a ``workers``-shard campaign fork children.
+
+    Under ``"auto"`` a one-shard round stays in this process.
+    """
+    return _may_fork(parallelism) and (
+        workers > 1 or parallelism == "process"
+    )
+
+
+class _CensusRun:
+    """The campaign's validation census, from its start to its table.
+
+    :meth:`fork` starts it in its own child beside the rounds; without
+    one, :meth:`table` runs it in this process when the table is
+    needed. Either way ``busy_s`` ends up as the census's CPU seconds,
+    and with telemetry on a ``validation_census`` span covers the
+    census from its start to its table's arrival.
+    """
+
+    def __init__(self, task: CensusTask, hub: TelemetryHub | None) -> None:
+        self.task = task
+        self.hub = hub
+        self.busy_s = 0.0
+        self._child = None
+        self._span = None
+
+    def _open_span(self) -> None:
+        if self.hub is not None:
+            self._span = self.hub.tracer.start("validation_census")
+
+    def fork(self) -> None:
+        """Start the census in a child; ``OSError`` if it cannot start."""
+        from repro.core.multicore import start_child
+
+        self._open_span()
+        self._child = start_child(self.task)
+
+    def table(self) -> ValidationTable:
+        """The census's table: the child's, or computed here now."""
+        if self._child is not None:
+            from repro.core.multicore import collect_census
+
+            table, busy = collect_census(self._child)
+        else:
+            self._open_span()
+            busy_start = time.process_time()
+            table = validation_census_table(self.task)
+            busy = time.process_time() - busy_start
+        self.busy_s = round(busy, 6)
+        if self._span is not None:
+            self.hub.tracer.finish(self._span)
+        return table
+
+    def stop(self) -> None:
+        """End a forked census whose campaign is failing."""
+        if self._child is not None:
+            from repro.core.multicore import stop_child
+
+            stop_child(self._child)
 
 
 def _note_pool_fallback(reason: str, hub: TelemetryHub | None) -> None:
-    """A "parallel" round is about to run in-process — say so, once.
+    """Children are about to run in-process — say so, once.
 
-    The inline result is byte-identical, but the wall-clock expectation
-    is not: a user who asked for N workers should know the children
-    could not start. Counted on ``campaign.pool_fallbacks`` when
-    telemetry is on, and surfaced as a one-line RuntimeWarning either
-    way.
+    Called when the validation census or a round cannot start its
+    children; from then on the census and every round run in this
+    process. The inline result is byte-identical, but the wall-clock
+    expectation is not: a user who asked for N workers should know the
+    children could not start. Counted on ``campaign.pool_fallbacks``
+    when telemetry is on, and surfaced as a one-line RuntimeWarning
+    either way.
     """
     if hub is not None:
         hub.registry.counter("campaign.pool_fallbacks").inc()
@@ -695,9 +796,15 @@ def run_sharded(
     ``parallelism`` (see :func:`_use_processes`) picks how each round
     runs its pending shards: in this process through
     :func:`run_shard`, or in forked children through
-    :func:`repro.core.multicore.run_multicore`. If children cannot
-    start, ``"auto"`` warns once, counts ``campaign.pool_fallbacks``
-    and runs that round and the rest inline; ``"process"`` re-raises.
+    :func:`repro.core.multicore.run_multicore`. With ``config.dnssec``
+    the validation census (:func:`validation_census_table`) runs
+    beside the rounds in a child of its own, started once the world is
+    primed, whenever ``parallelism`` may fork (:func:`_may_fork`), one
+    worker included; its table is collected after the last round and
+    before the analysis. If children cannot start, ``"auto"`` warns
+    once, counts ``campaign.pool_fallbacks`` and runs the census and
+    every remaining round inline; ``"process"`` re-raises. Whether the
+    campaign returns or raises, no child outlives this call.
 
     Failure domains: a shard that raises or whose worker dies is
     requeued with the same seed up to ``config.max_shard_retries``
@@ -718,8 +825,10 @@ def run_sharded(
     configured ``flight_dump_dir`` dumps its flight recorder.
 
     The result's ``engine_stats`` records the transport (``inline`` or
-    ``pipe``), rounds, frames and bytes shipped, and per shard its
-    CPU-busy seconds and probe count.
+    ``pipe``), rounds, frames and bytes shipped, per shard its CPU-busy
+    seconds and probe count, and the census's CPU seconds wherever it
+    ran (``census_busy_s``, 0.0 with ``dnssec`` off). The census is not
+    a shard: its message is no frame and ships no counted bytes.
     """
     if parallelism not in ("auto", "process", "inline"):
         raise ValueError(f"unknown parallelism mode: {parallelism!r}")
@@ -744,10 +853,23 @@ def run_sharded(
         from repro.datasets.store import save_shard_checkpoint
 
     use_processes = _use_processes(parallelism, workers)
-    if use_processes and population_override is None:
+    census = (
+        _CensusRun(CensusTask(config, population_override), hub)
+        if config.dnssec else None
+    )
+    fork_census = census is not None and _may_fork(parallelism)
+    if (use_processes or fork_census) and population_override is None:
         # Fork children inherit the primed universe walk and sampled
         # world instead of each paying the O(universe) setup again.
         prime_shard_caches(config)
+    if fork_census:
+        try:
+            census.fork()
+        except OSError as exc:
+            if parallelism == "process":
+                raise
+            _note_pool_fallback(f"{type(exc).__name__}: {exc}", hub)
+            use_processes = False
     pending = [index for index in range(workers) if index not in completed]
     attempts = dict.fromkeys(pending, 0)
     failures: dict[int, tuple[int, BaseException]] = {}
@@ -760,68 +882,85 @@ def run_sharded(
         "bytes_shipped": 0,
         "worker_busy_s": {},
         "worker_q1": {},
+        "census_busy_s": 0.0,
     }
     telemetry_config = hub.config if hub is not None else None
-    with maybe_span(
-        hub, "shard_execution", workers=workers,
-        resumed=len(completed), pending=len(pending),
-    ):
-        while pending:
-            stats["rounds"] += 1
-            tasks = [
-                ShardTask(
-                    config=config,
-                    index=index,
-                    workers=workers,
-                    population_override=population_override,
-                    attempt=attempts[index],
-                    telemetry=telemetry_config,
-                )
-                for index in pending
-            ]
-            if use_processes:
-                from repro.core.multicore import run_multicore
-
-                try:
-                    outcomes, errors = run_multicore(tasks, stats)
-                except OSError as exc:
-                    if parallelism == "process":
-                        raise
-                    _note_pool_fallback(f"{type(exc).__name__}: {exc}", hub)
-                    use_processes = False
-            if not use_processes:
-                outcomes, errors = _run_round_inline(tasks, stats)
-            for index in sorted(outcomes):
-                completed[index] = outcomes[index]
-                if checkpoint_dir is not None:
-                    save_shard_checkpoint(
-                        checkpoint_dir, fingerprint, index, outcomes[index]
+    try:
+        with maybe_span(
+            hub, "shard_execution", workers=workers,
+            resumed=len(completed), pending=len(pending),
+        ):
+            while pending:
+                stats["rounds"] += 1
+                tasks = [
+                    ShardTask(
+                        config=config,
+                        index=index,
+                        workers=workers,
+                        population_override=population_override,
+                        attempt=attempts[index],
+                        telemetry=telemetry_config,
                     )
-            requeue = []
-            for index in sorted(errors):
-                if index in outcomes:
-                    continue  # a retry raced a late frame; outcome wins
-                attempts[index] += 1
-                if hub is not None:
-                    hub.registry.counter("campaign.shard_attempts_failed").inc()
-                if attempts[index] > config.max_shard_retries:
-                    failures[index] = (attempts[index], errors[index])
-                else:
-                    requeue.append(index)
-            pending = sorted(requeue)
-        if hub is not None:
-            # Fold every shard's snapshot (resumed checkpoints included;
-            # pre-telemetry checkpoints lack the attribute entirely).
-            for index in sorted(completed):
-                hub.merge_snapshot(
-                    getattr(completed[index], "telemetry", None), shard=index
-                )
-    result = finalize_outcomes(
-        config, completed, failures, population_override, hub
-    )
+                    for index in pending
+                ]
+                if use_processes:
+                    from repro.core.multicore import run_multicore
+
+                    try:
+                        outcomes, errors = run_multicore(tasks, stats)
+                    except OSError as exc:
+                        if parallelism == "process":
+                            raise
+                        _note_pool_fallback(
+                            f"{type(exc).__name__}: {exc}", hub
+                        )
+                        use_processes = False
+                if not use_processes:
+                    outcomes, errors = _run_round_inline(tasks, stats)
+                for index in sorted(outcomes):
+                    completed[index] = outcomes[index]
+                    if checkpoint_dir is not None:
+                        save_shard_checkpoint(
+                            checkpoint_dir, fingerprint, index,
+                            outcomes[index],
+                        )
+                requeue = []
+                for index in sorted(errors):
+                    if index in outcomes:
+                        continue  # a retry raced a late frame; outcome wins
+                    attempts[index] += 1
+                    if hub is not None:
+                        hub.registry.counter(
+                            "campaign.shard_attempts_failed"
+                        ).inc()
+                    if attempts[index] > config.max_shard_retries:
+                        failures[index] = (attempts[index], errors[index])
+                    else:
+                        requeue.append(index)
+                pending = sorted(requeue)
+            if hub is not None:
+                # Fold every shard's snapshot (resumed checkpoints
+                # included; pre-telemetry checkpoints lack the
+                # attribute entirely).
+                for index in sorted(completed):
+                    hub.merge_snapshot(
+                        getattr(completed[index], "telemetry", None),
+                        shard=index,
+                    )
+        result = finalize_outcomes(
+            config, completed, failures, population_override, hub, census
+        )
+    except BaseException:
+        # Every shard failed, a round could not start, or an interrupt:
+        # the census child must not outlive the campaign.
+        if census is not None:
+            census.stop()
+        raise
     stats["worker_q1"] = {
         index: completed[index].capture.q1_sent for index in sorted(completed)
     }
+    if census is not None:
+        stats["census_busy_s"] = census.busy_s
     result.engine_stats = stats
     return result
 
@@ -832,13 +971,16 @@ def finalize_outcomes(
     failures: dict[int, tuple[int, BaseException]],
     population_override: SampledPopulation | None = None,
     hub: TelemetryHub | None = None,
+    census: _CensusRun | None = None,
 ) -> "CampaignResult":  # noqa: F821
     """Merge completed shard outcomes into a :class:`CampaignResult`.
 
     Whatever carried the outcomes — a return value, a message on a
     worker's pipe, a checkpoint on disk — the merge, the follow-up
     world, the analysis dispatch and the degraded-manifest accounting
-    are this one function.
+    are this one function. The validation ``census`` (required with
+    ``config.dnssec``) hands over its table after the merge and the
+    follow-up world, just before the analysis reads it.
     """
     from repro.core.campaign import (
         Campaign,
@@ -881,6 +1023,7 @@ def finalize_outcomes(
         deploy_forwarder_upstreams(
             network, population.profile, hierarchy.auth.ip
         )
+    validation_table = census.table() if census is not None else None
     campaign = Campaign(config)
     with maybe_span(hub, "analyze", mode=config.mode):
         if config.mode == "stream":
@@ -896,12 +1039,13 @@ def finalize_outcomes(
             result = campaign._analyze_stream(
                 population, hierarchy, network, software_map, validators,
                 capture, flow_set, aggregate, stream_stats,
-                query_log=query_log,
+                validation_table=validation_table, query_log=query_log,
             )
         else:
             result = campaign._analyze(
                 population, hierarchy, network, software_map, validators,
-                capture, flow_set, query_log=query_log,
+                capture, flow_set, validation_table=validation_table,
+                query_log=query_log,
             )
     if hub is not None:
         hub.registry.counter("campaign.shards_completed").inc(len(outcomes))

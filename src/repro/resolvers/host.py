@@ -38,6 +38,7 @@ from repro.dnslib.records import (
 )
 from repro.dnslib.signing import verify_rrsig
 from repro.dnslib.wire import DnsWireError, decode_message, encode_message
+from repro.dnssrv.txid import echoes_question
 from repro.policy.engine import PolicyAction
 from repro.resolvers.behavior import AnswerKind, BehaviorSpec, ResponseMode
 from repro.netsim.packet import Datagram
@@ -51,13 +52,22 @@ HOST_UPSTREAM_PORT = 10055
 class _PendingProbe:
     client: Datagram
     query: DnsMessage | None
-    fast: FastQuery | None = None
+    fast: FastQuery | None
+    #: The server the upstream query went to; only its answer counts.
+    server_ip: str
 
     def message(self) -> DnsMessage:
         """The client query as a :class:`DnsMessage`, however it arrived."""
         if self.query is not None:
             return self.query
         return self.fast.to_message()
+
+    def echoed_by(self, response: DnsMessage) -> bool:
+        """Whether ``response`` echoes the question this probe asked."""
+        if self.fast is not None:
+            return echoes_question(response, self.fast.qname, self.fast.qtype)
+        question = self.query.questions[0]
+        return echoes_question(response, question.qname, question.qtype)
 
 
 class BehaviorHost:
@@ -181,7 +191,9 @@ class BehaviorHost:
         # bytes the make_query/encode_message pair did.
         msg_id = self._next_id
         self._next_id = self._next_id % 0xFFFF + 1
-        self._pending[msg_id] = _PendingProbe(datagram, None, fast_query)
+        self._pending[msg_id] = _PendingProbe(
+            datagram, None, fast_query, self.auth_ip
+        )
         network.send(
             Datagram(
                 self.ip, self.upstream_port, self.auth_ip, self.auth_port,
@@ -246,7 +258,7 @@ class BehaviorHost:
         qtype = query.questions[0].qtype
         msg_id = self._next_id
         self._next_id = self._next_id % 0xFFFF + 1
-        self._pending[msg_id] = _PendingProbe(datagram, query)
+        self._pending[msg_id] = _PendingProbe(datagram, query, None, auth_ip)
         upstream = make_query(qname, qtype=qtype, msg_id=msg_id,
                               recursion_desired=False)
         network.send(
@@ -319,6 +331,14 @@ class BehaviorHost:
                 )
 
     def handle_upstream(self, datagram: Datagram, network: Transport) -> None:
+        """Complete a pending probe with its upstream answer.
+
+        The id alone does not prove the answer is the probe's: a forged
+        or stray answer can carry it too. An answer counts only when it
+        comes from the server the probe asked and echoes the probe's
+        question (the question bytes on the single-A fast path);
+        anything else is dropped and the probe stays pending.
+        """
         fast = peek_single_a_response(datagram.payload)
         if fast is not None:
             msg_id, question_wire, ttl, addr = fast
@@ -326,10 +346,12 @@ class BehaviorHost:
             if pending is None:
                 return  # ghost duplicate
             fast_query = pending.fast
-            if (
-                fast_query is not None
-                and fast_query.question_wire == question_wire
-            ):
+            if fast_query is not None:
+                if (
+                    datagram.src_ip != pending.server_ip
+                    or fast_query.question_wire != question_wire
+                ):
+                    return
                 del self._pending[msg_id]
                 self._respond_resolved_fast(
                     pending.client, fast_query, ttl, addr, network
@@ -339,9 +361,16 @@ class BehaviorHost:
             response = decode_message(datagram.payload)
         except DnsWireError:
             return
-        pending = self._pending.pop(response.header.msg_id, None)
+        msg_id = response.header.msg_id
+        pending = self._pending.get(msg_id)
         if pending is None:
             return  # ghost duplicate
+        if (
+            datagram.src_ip != pending.server_ip
+            or not pending.echoed_by(response)
+        ):
+            return
+        del self._pending[msg_id]
         if self.dnssec_validating and not self._resolved_validates(response):
             self._respond_servfail(pending.client, pending.message())
             return

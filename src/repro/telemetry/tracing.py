@@ -95,8 +95,21 @@ class Tracer:
             yield record
         finally:
             self._stack.pop()
-            record.end_sim = self.clock()
-            record.end_wall = time.perf_counter()
+            self.finish(record)
+
+    def start(self, name: str, **meta) -> SpanRecord:
+        """Open a child span that later spans do not nest under.
+
+        For work that runs beside its siblings, such as a forked side
+        job: the span stays off the stack until :meth:`finish` closes
+        it, so spans opened meanwhile keep their own parents.
+        """
+        return self._allocate(name, meta)
+
+    def finish(self, record: SpanRecord) -> None:
+        """Close a span opened by :meth:`start`."""
+        record.end_sim = self.clock()
+        record.end_wall = time.perf_counter()
 
     def add_span(
         self,

@@ -3,20 +3,29 @@
 Campaign-level byte identity across transports lives in
 ``tests/conformance/test_engines.py``; this file covers the process
 rounds' own machinery — one shard task per child, the one result
-message per child, fault paths, engine stats, and the loud fallback
-when children cannot start.
+message per child, the validation census's child beside the rounds,
+fault paths, engine stats, and the loud fallback when children cannot
+start.
 """
 
 import dataclasses
 import multiprocessing
+import os
 import signal
 import warnings
 
 import pytest
 
 from repro.core import Campaign, CampaignConfig
-from repro.core.shard import CHAOS_EXIT_ENV, CHAOS_RAISE_ENV, run_sharded
+from repro.core.shard import (
+    CHAOS_EXIT_ENV,
+    CHAOS_RAISE_ENV,
+    ShardExecutionError,
+    run_sharded,
+)
+from repro.dnssec import validation
 from repro.monitor.churn import ChurnModel, evolve_population
+from repro.telemetry.hub import TelemetryConfig, as_hub
 
 SCALE = 65536
 
@@ -25,6 +34,22 @@ BASE = CampaignConfig(year=2018, scale=SCALE, seed=3, workers=2)
 
 def _config(**overrides):
     return dataclasses.replace(BASE, **overrides)
+
+
+@pytest.fixture
+def deadline():
+    # A parent that joins a child before draining its pipe, or waits on
+    # a child that will never send, hangs forever; fail the test instead.
+    def expire(signum, frame):
+        pytest.fail("forked round did not finish")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestPopulationOverride:
@@ -73,6 +98,22 @@ class TestEngineStats:
         result = run_sharded(_config(**overrides), parallelism="process")
         assert result.engine_stats["frames"] == 2
 
+    @pytest.mark.parametrize("dnssec", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_census_busy_time(self, workers, dnssec):
+        # The census is accounted on its own, never as a shard: one
+        # frame per shard, and no busy entry beyond the shards'.
+        result = run_sharded(_config(workers=workers, dnssec=dnssec))
+        stats = result.engine_stats
+        assert sorted(stats["worker_busy_s"]) == list(range(workers))
+        assert stats["frames"] == (workers if workers > 1 else 0)
+        if dnssec:
+            assert stats["census_busy_s"] > 0
+            assert result.validation_table is not None
+        else:
+            assert stats["census_busy_s"] == 0.0
+            assert result.validation_table is None
+
     def test_compact_frames_are_smaller(self):
         fat = run_sharded(_config(), parallelism="process")
         slim = run_sharded(
@@ -86,21 +127,6 @@ class TestEngineStats:
 
 
 class TestResultPipe:
-    @pytest.fixture
-    def deadline(self):
-        # A parent that joins a child before draining its pipe hangs
-        # forever; fail the test instead.
-        def expire(signum, frame):
-            pytest.fail("forked round did not finish")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(120)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-
     def test_messages_bigger_than_the_pipe_buffer_arrive_whole(
         self, deadline
     ):
@@ -113,6 +139,77 @@ class TestResultPipe:
         assert forked.engine_stats["bytes_shipped"] > 2 * 65536
         inline = run_sharded(config, parallelism="inline")
         assert forked.report() == inline.report()
+
+
+class TestCensusChild:
+    """The validation census runs in a child of its own beside the
+    rounds, one-worker campaigns included. Whether the campaign returns
+    or raises, that child never outlives it or hangs it."""
+
+    @pytest.fixture
+    def in_child(self, monkeypatch):
+        """Make the census do ``act`` when it runs in a child process."""
+        parent = os.getpid()
+        real = validation.run_validation_census
+
+        def install(act):
+            def census(*args, **kwargs):
+                if os.getpid() != parent:
+                    act()
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(validation, "run_validation_census", census)
+
+        return install
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_shard_failing_leaves_no_child(
+        self, deadline, monkeypatch, workers
+    ):
+        monkeypatch.setenv(
+            CHAOS_RAISE_ENV, ",".join(f"{index}:9" for index in range(workers))
+        )
+        with pytest.raises(ShardExecutionError, match="all .* failed"):
+            run_sharded(_config(workers=workers, max_shard_retries=0))
+        assert multiprocessing.active_children() == []
+
+    def test_census_child_that_dies_is_named(self, deadline, in_child):
+        in_child(lambda: os._exit(13))
+        with pytest.raises(
+            RuntimeError, match="validation census exited with code 13"
+        ):
+            run_sharded(_config())
+        assert multiprocessing.active_children() == []
+
+    def test_census_error_raises_in_the_parent(self, deadline, in_child):
+        def fail():
+            raise ValueError("bogus probe zone unavailable")
+
+        in_child(fail)
+        with pytest.raises(ValueError, match="bogus probe zone unavailable"):
+            run_sharded(_config(workers=1))
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_fallback_warns_once(self, deadline, monkeypatch):
+        def refuse(self):
+            raise OSError("semaphores unavailable")
+
+        inline = run_sharded(_config(workers=1), parallelism="inline")
+        monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+        hub = as_hub(TelemetryConfig())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_sharded(_config(workers=1), telemetry=hub)
+        fallbacks = [
+            warning for warning in caught
+            if issubclass(warning.category, RuntimeWarning)
+            and "running inline" in str(warning.message)
+        ]
+        assert len(fallbacks) == 1
+        counters = hub.snapshot().metrics.counters
+        assert counters.get("campaign.pool_fallbacks") == 1
+        assert result.engine_stats["census_busy_s"] > 0
+        assert result.report() == inline.report()
 
 
 class TestValidation:

@@ -36,6 +36,7 @@ def _report_with_records(result, records):
         result.dnssec_validators,
         capture,
         flow_set,
+        validation_table=result.validation_table,
         query_log=result.query_log,
     )
     return rebuilt.report()
@@ -70,6 +71,7 @@ class TestShuffledQueryLog(object):
             campaign_result.dnssec_validators,
             campaign_result.capture,
             flow_set,
+            validation_table=campaign_result.validation_table,
             query_log=log,
         )
         assert rebuilt.report() == baseline

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.dnslib.constants import QueryType, Rcode
-from repro.dnslib.message import make_query
+from repro.dnslib.message import make_query, make_response
+from repro.dnslib.records import AData, ResourceRecord
 from repro.dnslib.wire import DnsWireError, decode_message, encode_message
 from repro.dnslib.zone import parse_master_file
 from repro.dnssrv.hierarchy import build_hierarchy
 from repro.resolvers.behavior import AnswerKind, BehaviorSpec, ResponseMode
-from repro.resolvers.host import BehaviorHost
+from repro.resolvers.host import HOST_UPSTREAM_PORT, BehaviorHost
 from repro.netsim.network import Network
 from repro.netsim.packet import Datagram
 from repro.threatintel.cymon import ThreatCategory
@@ -198,3 +199,74 @@ class TestResolvingHost:
         response = decode_message(raw[0].payload)
         assert response.rcode == Rcode.SERVFAIL
         assert response.first_a_record() is not None
+
+
+class TestUpstreamAnswerMatching:
+    """An upstream answer completes a probe only when it comes from the
+    server the probe asked and echoes the probe's question; the id
+    alone proves nothing. ``aa=True`` answers take the single-A fast
+    path, ``aa=False`` ones the full decode."""
+
+    AUTH = "45.76.1.99"
+
+    def _in_flight(self):
+        """A resolving host whose one probe waits on a silent auth."""
+        network = Network()
+        spec = make_spec(
+            mode=ResponseMode.RESOLVE, answer_kind=AnswerKind.CORRECT, ra=True
+        )
+        host = BehaviorHost(HOST_IP, spec, self.AUTH)
+        host.attach(network)
+        asked = []
+        network.bind(self.AUTH, 53, lambda dg, net: asked.append(dg))
+        replies = []
+        network.bind(PROBER_IP, 40000, lambda dg, net: replies.append(dg))
+        query = make_query(QNAME, msg_id=77)
+        network.send(
+            Datagram(PROBER_IP, 40000, HOST_IP, 53, encode_message(query))
+        )
+        network.run()
+        assert len(asked) == 1 and host.pending_count == 1
+        return network, host, decode_message(asked[0].payload), replies
+
+    def _answer(self, network, src_ip, question, address, aa):
+        answer = make_response(
+            question,
+            answers=[ResourceRecord(question.qname, QueryType.A, 1, 300,
+                                    AData(address))],
+            aa=aa, ra=False,
+        )
+        network.send(Datagram(
+            src_ip, 53, HOST_IP, HOST_UPSTREAM_PORT, encode_message(answer)
+        ))
+        network.run()
+
+    @pytest.mark.parametrize("aa", [True, False], ids=["fast", "decoded"])
+    def test_answer_from_another_source_is_dropped(self, aa):
+        network, host, upstream, replies = self._in_flight()
+        self._answer(network, "6.6.6.6", upstream, "6.6.6.6", aa)
+        assert replies == []
+        assert host.pending_count == 1
+        self._answer(network, self.AUTH, upstream, "45.76.1.10", aa)
+        assert len(replies) == 1
+        response = decode_message(replies[0].payload)
+        assert response.header.msg_id == 77
+        assert response.first_a_record().data.address == "45.76.1.10"
+        assert host.pending_count == 0
+
+    @pytest.mark.parametrize("aa", [True, False], ids=["fast", "decoded"])
+    def test_answer_with_another_question_is_dropped(self, aa):
+        network, host, upstream, replies = self._in_flight()
+        other = make_query(
+            "or000.0000001.ucfsealresearch.net",
+            msg_id=upstream.header.msg_id, recursion_desired=False,
+        )
+        self._answer(network, self.AUTH, other, "6.6.6.6", aa)
+        assert replies == []
+        assert host.pending_count == 1
+        self._answer(network, self.AUTH, upstream, "45.76.1.10", aa)
+        assert len(replies) == 1
+        response = decode_message(replies[0].payload)
+        assert response.qname == QNAME
+        assert response.first_a_record().data.address == "45.76.1.10"
+        assert host.pending_count == 0

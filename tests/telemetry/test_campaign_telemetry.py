@@ -89,16 +89,23 @@ class TestByteIdentitySerial:
         spans = observed.telemetry.spans
         by_name = {span["name"]: span for span in spans}
         for name in ("campaign", "shard_execution", "shard", "merge",
-                     "build_parent_world", "analyze"):
+                     "build_parent_world", "analyze", "validation_census"):
             assert name in by_name, f"missing span {name!r}"
         campaign = by_name["campaign"]
         assert campaign["parent"] is None
         execution = by_name["shard_execution"]
         assert execution["parent"] == campaign["span_id"]
         assert by_name["shard"]["parent"] == execution["span_id"]
-        for name in ("merge", "build_parent_world", "analyze"):
+        for name in ("merge", "build_parent_world", "analyze",
+                     "validation_census"):
             assert by_name[name]["parent"] == campaign["span_id"]
         assert by_name["shard"]["end_sim"] > by_name["shard"]["start_sim"]
+        # The census runs beside the scan: its span opens before the
+        # shard's and closes after it, before the analysis starts.
+        census = by_name["validation_census"]
+        assert census["start_wall"] < by_name["shard"]["start_wall"]
+        assert census["end_wall"] > by_name["shard"]["end_wall"]
+        assert census["end_wall"] <= by_name["analyze"]["start_wall"]
 
     def test_heartbeats_monotone_and_progressing(self, observed):
         beats = observed.telemetry.heartbeats
