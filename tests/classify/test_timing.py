@@ -12,10 +12,17 @@ from repro.classify.timing import (
 )
 from repro.dnslib.constants import Rcode
 from repro.dnssrv.hierarchy import build_hierarchy
-from repro.netsim.latency import FixedLatency
+from repro.netsim.latency import FixedLatency, LogNormalLatency
 from repro.netsim.network import Network
 from repro.resolvers.behavior import AnswerKind, BehaviorSpec, ResponseMode
 from repro.resolvers.host import BehaviorHost
+
+#: The timing scan of ``build_world(4, 4)`` under log-normal hops.
+PINNED_THRESHOLD = 0.169763298506
+PINNED_RTTS = [
+    0.098458728428, 0.107733121088, 0.143079216525, 0.181487305202,
+    0.20107547686, 0.211105736555, 0.251861353702, 0.269984669344,
+]
 
 
 class TestTwoMeansThreshold:
@@ -44,10 +51,10 @@ class TestTwoMeansThreshold:
 
 
 class TestTimingClassifier:
-    def build_world(self, fabricators=6, resolvers=6):
+    def build_world(self, fabricators=6, resolvers=6, latency=None):
         # Fixed latency makes the two populations perfectly bimodal:
         # fabricators answer in 2 hops, resolvers in 4.
-        network = Network(seed=1, latency=FixedLatency(0.05))
+        network = Network(seed=1, latency=latency or FixedLatency(0.05))
         hierarchy = build_hierarchy(network)
         targets, truth = [], {}
         for index in range(fabricators):
@@ -86,6 +93,19 @@ class TestTimingClassifier:
                 assert rtt == pytest.approx(0.10, abs=0.01)   # 2 hops
             else:
                 assert rtt == pytest.approx(0.20, abs=0.01)   # 4 hops
+
+    def test_rtts_and_threshold_are_pinned(self):
+        # Log-normal hops make every RTT a distinct network draw: any
+        # value that moves is a change in the probes, their send order
+        # or in which answer is timed.
+        network, hierarchy, targets, truth = self.build_world(
+            4, 4, latency=LogNormalLatency(median=0.05, sigma=0.5)
+        )
+        result = TimingClassifier(network, hierarchy).classify(targets)
+        assert round(result.threshold, 12) == PINNED_THRESHOLD
+        assert [round(rtt, 12) for rtt in sorted(result.rtts.values())] == (
+            PINNED_RTTS
+        )
 
     def test_agrees_with_dual_capture(self):
         """Timing labels match the ground-truth dual-capture classes."""

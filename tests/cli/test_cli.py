@@ -7,6 +7,12 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _digest(out: str) -> str:
+    """sha256 of a command's stdout: any byte that moves is a change in
+    the command or in the code it runs."""
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -70,6 +76,9 @@ class TestCommands:
         assert main(["fingerprint", "--scale", "32768", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "version.bind census" in out
+        assert _digest(out) == (
+            "cc0a2987905161f4d73845061f5dc6954d6b1c2a9da6104ab95ffdace08b3d73"
+        )
 
     def test_monitor(self, capsys):
         assert main(
@@ -107,6 +116,19 @@ class TestCommands:
         assert main(["dnssec", "--scale", "32768", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "DNSSEC validator census" in out
+        assert _digest(out) == (
+            "832e12756959cfa922aaf3131f00507d65aa7821b79c9caa9dee367a6c435a7a"
+        )
+
+    def test_dnssec_validation(self, capsys):
+        assert main(
+            ["dnssec", "--scale", "32768", "--seed", "1", "--validation"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "DNSSEC validation behavior" in out
+        assert _digest(out) == (
+            "363a2d9eb0a3d1170fcdc625c8c5e5ca528a367e71871386fd28bdc48a55144b"
+        )
 
     def test_classify(self, capsys):
         assert main(
@@ -116,10 +138,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "forwarding proxy" in out
 
+    def test_classify_transparent(self, capsys):
+        assert main(
+            ["classify", "--recursives", "5", "--proxies", "10",
+             "--fabricators", "3", "--upstreams", "3", "--transparent", "6"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "transparent fan-in" in out
+        assert _digest(out) == (
+            "3d7ce739f8622a218822a2fc13394aeea39b2ecd5c38427bb33aff90daf3fbb5"
+        )
+
     def test_inject(self, capsys):
         assert main(["inject", "--resolvers", "10", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "Record-injection test" in out
+        assert _digest(out) == (
+            "6c3f58b4f169ad37260ed16b52a8ed515e62bec56d5672c8e678483d3a181f76"
+        )
 
     def test_sweep(self, capsys):
         assert main(["sweep", "--scale", "65536", "--seeds", "2"]) == 0
