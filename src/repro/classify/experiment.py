@@ -7,13 +7,12 @@ import enum
 from collections import Counter
 
 from repro.dnslib.message import make_query
-from repro.dnslib.wire import DnsWireError, decode_message, encode_message
 from repro.dnslib.zone import Zone
 from repro.dnssrv.forwarder import ForwardingResolver
 from repro.dnssrv.hierarchy import Hierarchy, build_hierarchy
 from repro.dnssrv.recursive import RecursiveResolver
 from repro.netsim.network import Network
-from repro.netsim.packet import Datagram
+from repro.prober.targets import TargetScan
 from repro.resolvers.behavior import AnswerKind, BehaviorSpec, ResponseMode
 from repro.resolvers.host import BehaviorHost
 
@@ -63,8 +62,10 @@ class ClassificationReport:
         return self.count(cls) / total if total else 0.0
 
 
-class ResolverClassifier:
+class ResolverClassifier(TargetScan):
     """Runs the unique-qname probe and reads both capture points."""
+
+    by_qname = True  # an answer from an unprobed address is a signal
 
     def __init__(
         self,
@@ -74,12 +75,9 @@ class ResolverClassifier:
         source_port: int = 31600,
         probe_prefix: str = "classify",
     ) -> None:
-        self.network = network
+        super().__init__(network, scanner_ip, source_port)
         self.hierarchy = hierarchy
-        self.scanner_ip = scanner_ip
-        self.source_port = source_port
         self.probe_prefix = probe_prefix
-        self._responses: dict[str, str] = {}  # qname -> responder src ip
 
     def _qname(self, index: int) -> str:
         return f"{self.probe_prefix}-{index:06d}.{self.hierarchy.sld}"
@@ -88,26 +86,15 @@ class ResolverClassifier:
         """Probe every target once and join the captures."""
         auth = self.hierarchy.auth
         zone = Zone(self.hierarchy.sld)
-        qname_for: dict[str, str] = {}
+        self._qname_for: dict[str, str] = {}
         for index, target in enumerate(targets):
             qname = self._qname(index)
-            qname_for[target] = qname
+            self._qname_for[target] = qname
             zone.add_a(qname, auth.ip)
         auth.load_zone(zone)
         log_start = len(auth.query_log)
-        self.network.bind(self.scanner_ip, self.source_port, self._on_response)
-        try:
-            for index, target in enumerate(targets):
-                query = make_query(qname_for[target], msg_id=index & 0xFFFF)
-                self.network.send(
-                    Datagram(
-                        self.scanner_ip, self.source_port, target, 53,
-                        encode_message(query),
-                    )
-                )
-            self.network.run()
-        finally:
-            self.network.unbind(self.scanner_ip, self.source_port)
+        self._responders: dict[str, str] = {}  # target -> answering address
+        self.probe(targets)
         q2_sources: dict[str, str] = {}
         for entry in auth.query_log[log_start:]:
             q2_sources.setdefault(entry.qname, entry.src_ip)
@@ -115,9 +102,8 @@ class ResolverClassifier:
         proxy_upstreams: dict[str, str] = {}
         transparent_upstreams: dict[str, str] = {}
         for target in targets:
-            qname = qname_for[target]
-            responder = self._responses.get(qname)
-            source = q2_sources.get(qname)
+            responder = self._responders.get(target)
+            source = q2_sources.get(self._qname_for[target])
             if responder is None and source is None:
                 classes[target] = ResolverClass.UNRESPONSIVE
             elif responder is not None and responder != target:
@@ -140,15 +126,13 @@ class ResolverClassifier:
             transparent_upstreams=transparent_upstreams,
         )
 
-    def _on_response(self, datagram: Datagram, network: Network) -> None:
-        try:
-            response = decode_message(datagram.payload)
-        except DnsWireError:
-            return
-        if response.qname is not None:
-            # Last responder wins, mirroring the campaign join's
-            # last-record-wins view of duplicate R2s.
-            self._responses[response.qname] = datagram.src_ip
+    def queries(self, index: int, target: str):
+        return [make_query(self._qname_for[target], msg_id=index & 0xFFFF)]
+
+    def on_answer(self, target, source, response, now) -> None:
+        # Last responder wins, mirroring the campaign join's
+        # last-record-wins view of duplicate R2s.
+        self._responders[target] = source
 
 
 def build_classification_world(

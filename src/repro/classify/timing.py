@@ -14,11 +14,10 @@ from __future__ import annotations
 import dataclasses
 
 from repro.dnslib.message import make_query
-from repro.dnslib.wire import encode_message
 from repro.dnslib.zone import Zone
 from repro.dnssrv.hierarchy import Hierarchy
 from repro.netsim.network import Network
-from repro.netsim.packet import Datagram
+from repro.prober.targets import TargetScan
 
 FAST = "fabricator-like"
 SLOW = "resolver-like"
@@ -67,8 +66,10 @@ class TimingResult:
         return sum(1 for value in self.labels.values() if value == label)
 
 
-class TimingClassifier:
+class TimingClassifier(TargetScan):
     """Measures per-target response times over the simulated network."""
+
+    by_qname = True  # the first answer, from any address, times a probe
 
     def __init__(
         self,
@@ -78,42 +79,22 @@ class TimingClassifier:
         source_port: int = 31700,
         probe_prefix: str = "timing",
     ) -> None:
-        self.network = network
+        super().__init__(network, scanner_ip, source_port)
         self.hierarchy = hierarchy
-        self.scanner_ip = scanner_ip
-        self.source_port = source_port
         self.probe_prefix = probe_prefix
-        self._sent_at: dict[str, float] = {}
-        self._rtts: dict[str, float] = {}
 
     def classify(self, targets: list[str]) -> TimingResult:
         zone = Zone(self.hierarchy.sld)
-        qname_for: dict[str, str] = {}
-        target_for: dict[str, str] = {}
+        self._qname_for: dict[str, str] = {}
         for index, target in enumerate(targets):
             qname = f"{self.probe_prefix}-{index:06d}.{self.hierarchy.sld}"
-            qname_for[target] = qname
-            target_for[qname] = target
+            self._qname_for[target] = qname
             zone.add_a(qname, self.hierarchy.auth.ip)
         self.hierarchy.auth.load_zone(zone)
-        self.network.bind(self.scanner_ip, self.source_port, self._on_response)
-        try:
-            for index, target in enumerate(targets):
-                qname = qname_for[target]
-                self._sent_at[qname] = self.network.now
-                query = make_query(qname, msg_id=index & 0xFFFF)
-                self.network.send(
-                    Datagram(
-                        self.scanner_ip, self.source_port, target, 53,
-                        encode_message(query),
-                    )
-                )
-            self.network.run()
-        finally:
-            self.network.unbind(self.scanner_ip, self.source_port)
-        rtts = {
-            target_for[qname]: rtt for qname, rtt in self._rtts.items()
-        }
+        self._sent_at: dict[str, float] = {}
+        self._rtts: dict[str, float] = {}
+        self.probe(targets)
+        rtts = self._rtts
         threshold = two_means_threshold(list(rtts.values()))
         labels = {
             target: (FAST if rtt <= threshold else SLOW)
@@ -121,13 +102,10 @@ class TimingClassifier:
         }
         return TimingResult(rtts=rtts, threshold=threshold, labels=labels)
 
-    def _on_response(self, datagram: Datagram, network: Network) -> None:
-        from repro.dnslib.wire import DnsWireError, decode_message
+    def queries(self, index: int, target: str):
+        self._sent_at[target] = self.network.now
+        return [make_query(self._qname_for[target], msg_id=index & 0xFFFF)]
 
-        try:
-            response = decode_message(datagram.payload)
-        except DnsWireError:
-            return
-        qname = response.qname
-        if qname in self._sent_at and qname not in self._rtts:
-            self._rtts[qname] = network.now - self._sent_at[qname]
+    def on_answer(self, target, source, response, now) -> None:
+        if target not in self._rtts:
+            self._rtts[target] = now - self._sent_at[target]

@@ -7,11 +7,10 @@ import random
 
 from repro.dnslib.edns import add_edns
 from repro.dnslib.message import make_query
-from repro.dnslib.wire import DnsWireError, decode_message, encode_message
 from repro.dnslib.zone import Zone
 from repro.dnssrv.auth import AuthoritativeServer
 from repro.netsim.network import Network
-from repro.netsim.packet import Datagram
+from repro.prober.targets import TargetScan
 from repro.resolvers.population import SampledPopulation
 from repro.resolvers.profiles import PROFILE_2013, PROFILE_2018
 
@@ -62,7 +61,7 @@ class ValidatorCensus:
         return self.validating_count / self.answered if self.answered else 0.0
 
 
-class ValidatorScanner:
+class ValidatorScanner(TargetScan):
     """Probes a target list with DO-flagged queries for a signed name.
 
     The scanner installs its own tiny signed-probe zone beneath the
@@ -80,52 +79,33 @@ class ValidatorScanner:
         scanner_ip: str = "132.170.3.18",
         source_port: int = 31339,
     ) -> None:
-        self.network = network
+        super().__init__(network, scanner_ip, source_port)
         self.auth = auth
         self.sld = sld
-        self.scanner_ip = scanner_ip
-        self.source_port = source_port
         self.probe_qname = f"{self.PROBE_LABEL}.{sld}"
-        self._answers: dict[str, bool] = {}  # src_ip -> AD bit
 
     def scan(self, targets: list[str]) -> ValidatorCensus:
+        self._answers: dict[str, bool] = {}  # target -> AD bit
         zone = Zone(self.probe_qname)
         zone.add_a(self.probe_qname, self.auth.ip, ttl=0)  # uncacheable
-        self.auth.load_zone(zone)
-        self.network.bind(self.scanner_ip, self.source_port, self._on_response)
-        try:
-            for index, target in enumerate(targets):
-                query = make_query(self.probe_qname, msg_id=index & 0xFFFF)
-                add_edns(query, dnssec_ok=True)
-                self.network.send(
-                    Datagram(
-                        self.scanner_ip, self.source_port, target, 53,
-                        encode_message(query),
-                    )
-                )
-            self.network.run()
-        finally:
-            self.network.unbind(self.scanner_ip, self.source_port)
-            self.auth.unload_zone(self.probe_qname)
-        answered_with_record = {
-            ip for ip, _ in self._answers.items()
-        }
+        self.probe(targets, self.auth, zone)
         validating = {ip for ip, ad in self._answers.items() if ad}
         return ValidatorCensus(
             targets=len(targets),
-            answered=len(answered_with_record),
+            answered=len(self._answers),
             validating=validating,
-            non_validating=answered_with_record - validating,
+            non_validating=self._answers.keys() - validating,
         )
 
-    def _on_response(self, datagram: Datagram, network: Network) -> None:
-        try:
-            response = decode_message(datagram.payload)
-        except DnsWireError:
-            return
+    def queries(self, index: int, target: str):
+        query = make_query(self.probe_qname, msg_id=index & 0xFFFF)
+        add_edns(query, dnssec_ok=True)
+        return [query]
+
+    def on_answer(self, target, source, response, now) -> None:
         if response.first_a_record() is None:
             return  # refusals and empty answers don't count as resolution
-        self._answers[datagram.src_ip] = response.header.flags.ad
+        self._answers[target] = response.header.flags.ad
 
 
 def render_validator_census(census: ValidatorCensus, year: int) -> str:

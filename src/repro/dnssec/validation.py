@@ -30,12 +30,11 @@ from repro.dnslib.constants import QueryType
 from repro.dnslib.message import DnsMessage, make_query
 from repro.dnslib.records import ResourceRecord
 from repro.dnslib.signing import corrupt_rrsig, sign_rrset
-from repro.dnslib.wire import DnsWireError, decode_message, encode_message
 from repro.dnslib.zone import Zone
 from repro.dnssrv.auth import AuthoritativeServer
 from repro.netsim.network import Network
-from repro.netsim.packet import Datagram
 from repro.netsim.seeds import derive_seed
+from repro.prober.targets import TargetScan
 from repro.stats import ValidationTable
 
 #: Splitmix64 lane tag for the census network/fault seeds (arbitrary,
@@ -131,13 +130,14 @@ class ValidationCensus:
         )
 
 
-class ValidationScanner:
+class ValidationScanner(TargetScan):
     """Probes each target for the control and the bogus name.
 
-    Attribution is by ``(source address, decoded qname)`` and
-    intersected with the probed target set, so an off-path answer —
-    a transparent forwarder's upstream replying on the target's
-    behalf — never inflates a target's responsiveness.
+    An answer counts only when the probed target itself sent it (the
+    scan engine's rule), so an off-path answer — a transparent
+    forwarder's upstream replying on the target's behalf — never
+    inflates a target's responsiveness. Its decoded qname says which
+    of the two probes it answers.
     """
 
     def __init__(
@@ -148,37 +148,19 @@ class ValidationScanner:
         scanner_ip: str = "132.170.3.19",
         source_port: int = 31341,
     ) -> None:
-        self.network = network
+        super().__init__(network, scanner_ip, source_port)
         self.auth = auth
         self.sld = sld
-        self.scanner_ip = scanner_ip
-        self.source_port = source_port
         origin = f"{VALIDATION_ZONE_LABEL}.{sld}"
-        self.zone_origin = origin
         self.control_qname = f"{CONTROL_LABEL}.{origin}"
         self.bogus_qname = f"{BOGUS_LABEL}.{origin}"
-        self._answered_control: set[str] = set()
-        self._answered_bogus: set[str] = set()
 
     def scan(self, targets: list[str]) -> ValidationCensus:
-        self.auth.load_zone(build_validation_zone(self.sld))
-        self.network.bind(self.scanner_ip, self.source_port, self._on_response)
-        try:
-            for index, target in enumerate(targets):
-                for qname in (self.control_qname, self.bogus_qname):
-                    query = make_query(qname, msg_id=index & 0xFFFF)
-                    self.network.send(
-                        Datagram(
-                            self.scanner_ip, self.source_port, target, 53,
-                            encode_message(query),
-                        )
-                    )
-            self.network.run()
-        finally:
-            self.network.unbind(self.scanner_ip, self.source_port)
-            self.auth.unload_zone(self.zone_origin)
+        self._answered_control: set[str] = set()
+        self._answered_bogus: set[str] = set()
+        self.probe(targets, self.auth, build_validation_zone(self.sld))
         probed = set(targets)
-        responsive = self._answered_control & probed
+        responsive = self._answered_control
         validating = responsive - self._answered_bogus
         return ValidationCensus(
             targets=len(probed),
@@ -187,17 +169,19 @@ class ValidationScanner:
             unresponsive=probed - responsive,
         )
 
-    def _on_response(self, datagram: Datagram, network: Network) -> None:
-        try:
-            response = decode_message(datagram.payload)
-        except DnsWireError:
-            return
+    def queries(self, index: int, target: str):
+        return [
+            make_query(qname, msg_id=index & 0xFFFF)
+            for qname in (self.control_qname, self.bogus_qname)
+        ]
+
+    def on_answer(self, target, source, response, now) -> None:
         if response.first_a_record() is None:
             return  # SERVFAILs and empty answers are the validating signal
         if response.qname == self.control_qname:
-            self._answered_control.add(datagram.src_ip)
+            self._answered_control.add(target)
         elif response.qname == self.bogus_qname:
-            self._answered_bogus.add(datagram.src_ip)
+            self._answered_bogus.add(target)
 
 
 def run_validation_census(config, population, validators=None) -> ValidationCensus:

@@ -13,9 +13,8 @@ import dataclasses
 from repro.dnslib.chaos import VERSION_BIND, extract_banner
 from repro.dnslib.constants import DnsClass, QueryType, Rcode
 from repro.dnslib.message import make_query
-from repro.dnslib.wire import DnsWireError, decode_message, encode_message
 from repro.netsim.network import Network
-from repro.netsim.packet import Datagram
+from repro.prober.targets import TargetScan
 
 
 @dataclasses.dataclass
@@ -31,7 +30,7 @@ class VersionScanResult:
         return len(self.banners) + len(self.refused)
 
 
-class VersionScanner:
+class VersionScanner(TargetScan):
     """Fingerprints a target list with version.bind queries."""
 
     def __init__(
@@ -40,33 +39,13 @@ class VersionScanner:
         scanner_ip: str = "132.170.3.15",
         source_port: int = 31338,
     ) -> None:
-        self.network = network
-        self.scanner_ip = scanner_ip
-        self.source_port = source_port
-        self._banners: dict[str, str] = {}
-        self._refused: set[str] = set()
+        super().__init__(network, scanner_ip, source_port)
 
     def scan(self, targets: list[str]) -> VersionScanResult:
         """Query every target and drain the network."""
-        self.network.bind(self.scanner_ip, self.source_port, self._on_response)
-        try:
-            for index, target in enumerate(targets):
-                query = make_query(
-                    VERSION_BIND,
-                    qtype=QueryType.TXT,
-                    qclass=DnsClass.CH,
-                    msg_id=index & 0xFFFF,
-                    recursion_desired=False,
-                )
-                self.network.send(
-                    Datagram(
-                        self.scanner_ip, self.source_port, target, 53,
-                        encode_message(query),
-                    )
-                )
-            self.network.run()
-        finally:
-            self.network.unbind(self.scanner_ip, self.source_port)
+        self._banners: dict[str, str] = {}
+        self._refused: set[str] = set()
+        self.probe(targets)
         answered = set(self._banners) | self._refused
         return VersionScanResult(
             banners=dict(self._banners),
@@ -74,13 +53,17 @@ class VersionScanner:
             silent=[target for target in targets if target not in answered],
         )
 
-    def _on_response(self, datagram: Datagram, network: Network) -> None:
-        try:
-            response = decode_message(datagram.payload)
-        except DnsWireError:
-            return
+    def queries(self, index: int, target: str):
+        return [
+            make_query(
+                VERSION_BIND, qtype=QueryType.TXT, qclass=DnsClass.CH,
+                msg_id=index & 0xFFFF, recursion_desired=False,
+            )
+        ]
+
+    def on_answer(self, target, source, response, now) -> None:
         banner = extract_banner(response)
         if banner is not None:
-            self._banners[datagram.src_ip] = banner
+            self._banners[target] = banner
         elif response.rcode == Rcode.REFUSED:
-            self._refused.add(datagram.src_ip)
+            self._refused.add(target)

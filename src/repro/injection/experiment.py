@@ -8,13 +8,12 @@ import random
 from repro.dnslib.constants import QueryType
 from repro.dnslib.message import DnsMessage, make_query
 from repro.dnslib.records import AData, ResourceRecord
-from repro.dnslib.wire import DnsWireError, decode_message, encode_message
 from repro.dnslib.zone import Zone
 from repro.dnssrv.auth import AuthoritativeServer
 from repro.dnssrv.delegation import Delegation, DelegationServer
 from repro.dnssrv.recursive import RecursiveResolver
 from repro.netsim.network import Network
-from repro.netsim.packet import Datagram
+from repro.prober.targets import TargetScan
 
 ROOT_IP = "198.41.0.4"
 TLD_IP = "192.5.6.30"
@@ -23,6 +22,8 @@ ATTACKER_AUTH_IP = "185.66.6.6"
 VICTIM_NAME = "www.victim.example"
 REAL_VICTIM_ADDRESS = "93.184.0.1"
 POISON_ADDRESS = "185.66.6.66"
+CLIENT_IP = "203.0.113.77"
+CLIENT_PORT = 5000
 
 
 class PoisoningAuthServer(AuthoritativeServer):
@@ -55,6 +56,29 @@ class PoisoningAuthServer(AuthoritativeServer):
                 )
             )
         return response
+
+
+class _Bait(TargetScan):
+    """Phase 1: each resolver resolves its own attacker name."""
+
+    def queries(self, index: int, target: str):
+        return [make_query(f"bait{index:05d}.attacker.example", msg_id=index)]
+
+
+class _Check(TargetScan):
+    """Phase 2: every resolver is asked for the victim name."""
+
+    def __init__(self, network: Network) -> None:
+        super().__init__(network, CLIENT_IP, CLIENT_PORT)
+        self.answers: dict[str, str | None] = {}  # target -> victim address
+
+    def queries(self, index: int, target: str):
+        return [make_query(VICTIM_NAME, msg_id=10_000 + index)]
+
+    def on_answer(self, target, source, response, now) -> None:
+        if response.qname == VICTIM_NAME:
+            record = response.first_a_record()
+            self.answers[target] = record.data.address if record else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -141,40 +165,12 @@ class InjectionExperiment:
 
     def run(self) -> InjectionReport:
         network, targets = self._build_world()
-        answers: dict[tuple[str, str], str | None] = {}
-        client_ip = "203.0.113.77"
-
-        def collector(datagram: Datagram, net: Network) -> None:
-            try:
-                response = decode_message(datagram.payload)
-            except DnsWireError:
-                return
-            record = response.first_a_record()
-            answers[(datagram.src_ip, response.qname or "")] = (
-                record.data.address if record else None
-            )
-
-        network.bind(client_ip, 5000, collector)
-        # Phase 1 (bait): each resolver resolves its own attacker name.
-        for index, target in enumerate(targets):
-            bait = f"bait{index:05d}.attacker.example"
-            network.send(
-                Datagram(client_ip, 5000, target, 53,
-                         encode_message(make_query(bait, msg_id=index)))
-            )
-        network.run()
-        # Phase 2 (check): ask every resolver for the victim name.
-        for index, target in enumerate(targets):
-            network.send(
-                Datagram(
-                    client_ip, 5000, target, 53,
-                    encode_message(make_query(VICTIM_NAME, msg_id=10_000 + index)),
-                )
-            )
-        network.run()
+        _Bait(network, CLIENT_IP, CLIENT_PORT).probe(targets)
+        check = _Check(network)
+        check.probe(targets)
         vulnerable, safe, unresponsive = [], [], []
         for target in targets:
-            answer = answers.get((target, VICTIM_NAME))
+            answer = check.answers.get(target)
             if answer is None:
                 unresponsive.append(target)
             elif answer == POISON_ADDRESS:

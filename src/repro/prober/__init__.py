@@ -11,6 +11,8 @@
   cluster installs at the authoritative server.
 - :mod:`repro.prober.capture` — joining Q1/Q2/R1/R2 into per-target
   flows on the qname key (Fig 2).
+- :mod:`repro.prober.targets` — the target-scan engine that every
+  second-pass census runs on: bind, send, decode, attribute.
 """
 
 from repro.prober.capture import (

@@ -117,7 +117,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "DNSSEC validator census" in out
         assert _digest(out) == (
-            "832e12756959cfa922aaf3131f00507d65aa7821b79c9caa9dee367a6c435a7a"
+            "f653304fa27c9bb989fa4e05b61fd340f7a9d868f79c3764da1ab48283fff27d"
         )
 
     def test_dnssec_validation(self, capsys):
@@ -127,7 +127,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "DNSSEC validation behavior" in out
         assert _digest(out) == (
-            "363a2d9eb0a3d1170fcdc625c8c5e5ca528a367e71871386fd28bdc48a55144b"
+            "00c5c9d3e99210116c721306bae5f00fd717fae3a035400456b3be3eccdd6191"
         )
 
     def test_classify(self, capsys):
