@@ -599,13 +599,11 @@ def _cmd_dnssec(args) -> int:
     census = scanner.scan(targets)
     print(render_validator_census(census, args.year))
     if args.validation:
-        from repro.dnssec import render_validation_census, run_validation_census
+        from repro.dnssec import render_validation_census
 
+        # The campaign ran the bogus-probe census on these targets.
         print(f"Probing {len(targets):,} responders with a bogus-RRSIG zone...")
-        validation = run_validation_census(
-            config, result.population, result.dnssec_validators or None
-        )
-        print(render_validation_census(validation, args.year))
+        print(render_validation_census(result.validation_table, args.year))
     return 0
 
 

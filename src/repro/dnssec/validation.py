@@ -235,9 +235,11 @@ def run_validation_census(config, population, validators=None) -> ValidationCens
     return scanner.scan(sorted(population.address_set()))
 
 
-def render_validation_census(census: ValidationCensus, year: int) -> str:
-    """Text summary of one year's bogus-probe scan."""
-    table = census.table()
+def render_validation_census(
+    census: ValidationCensus | ValidationTable, year: int
+) -> str:
+    """Text summary of one year's bogus-probe scan, or of its table."""
+    table = census.table() if isinstance(census, ValidationCensus) else census
     return "\n".join(
         [
             f"DNSSEC validation behavior ({year})",
