@@ -245,6 +245,8 @@ class ServingWorld:
                 "send_errors",
             ):
                 registry.counter(f"udp.{name}").inc(getattr(stats, name))
+            if stats.kernel_drops is not None:
+                registry.counter("udp.kernel_drops").inc(stats.kernel_drops)
 
     @staticmethod
     def _fold_resolver(

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import os
 import socket
 from typing import Callable
 
@@ -49,6 +50,11 @@ from repro.transport.base import (
 #: Largest datagram we accept (DNS-over-UDP with EDNS tops out well
 #: below this; 65535 is the UDP maximum).
 RECV_BUFFER = 65535
+
+#: Kernel receive buffer each socket asks for, as the benchmark's load
+#: generator does. The kernel caps it at ``net.core.rmem_max``. At the
+#: default buffer a stalled daemon held only 256 queries.
+SOCKET_RCVBUF = 1 << 20
 
 
 @dataclasses.dataclass
@@ -67,6 +73,30 @@ class SocketStats:
     handler_errors: int = 0
     #: OS-level sendto failures (buffer full, unreachable) — UDP drops.
     send_errors: int = 0
+    #: Datagrams the kernel dropped because a socket's receive buffer
+    #: was full, summed as each socket closes. None where the platform
+    #: does not report them.
+    kernel_drops: int | None = None
+
+
+def kernel_drops(sock: socket.socket) -> int | None:
+    """The kernel's count of datagrams dropped on ``sock``'s receive queue.
+
+    Read from the ``drops`` column of ``/proc/net/udp``, on the row of
+    the socket's inode; None where the platform has no such column.
+    """
+    try:
+        inode = str(os.fstat(sock.fileno()).st_ino)
+        with open("/proc/net/udp") as table:
+            if table.readline().split()[-1] != "drops":
+                return None
+            for line in table:
+                fields = line.split()
+                if fields[9] == inode:
+                    return int(fields[-1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
 
 
 class AsyncUdpTransport:
@@ -111,6 +141,7 @@ class AsyncUdpTransport:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, SOCKET_RCVBUF)
             sock.setblocking(False)
             sock.bind((ip, port))
         except OSError as error:
@@ -132,6 +163,9 @@ class AsyncUdpTransport:
         self._handlers.pop(key, None)
         if sock is not None:
             self.loop.remove_reader(sock.fileno())
+            drops = kernel_drops(sock)
+            if drops is not None:
+                self.stats.kernel_drops = (self.stats.kernel_drops or 0) + drops
             sock.close()
 
     def is_bound(self, ip: str, port: int) -> bool:

@@ -1,6 +1,7 @@
 """Daemon lifecycle: ready files, graceful drain, metrics, defenses."""
 
 import json
+import signal
 import socket
 
 import pytest
@@ -18,6 +19,12 @@ from repro.transport.serve import (
     build_world,
 )
 from repro.transport.sim import SimTransport
+from repro.transport.socketio import SOCKET_RCVBUF, kernel_drops
+from tests.cli.test_serve_cli import SHUTDOWN_TIMEOUT, start_daemon
+
+#: Queries sent to a stopped daemon: several times what a 1 MiB
+#: receive buffer holds (2,520 on Linux 6.x).
+STALL_QUERIES = 10_000
 
 
 def make_client(timeout=2.0):
@@ -221,3 +228,48 @@ class TestSimWorld:
         counters = hub.registry.snapshot().counters
         assert counters["serve.txid_collisions"] == 3
         assert counters["serve.txid_exhausted"] == 1
+
+
+class TestStalledDaemon:
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP/SIGCONT"
+    )
+    def test_every_query_is_answered_or_counted(self, tmp_path):
+        # Stop the daemon, send more queries than its socket can hold,
+        # resume it: each query must be answered or counted as a drop,
+        # by the daemon's kernel_drops or by the client's own socket.
+        client = make_client(timeout=5.0)
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, SOCKET_RCVBUF)
+        if kernel_drops(client) is None:
+            client.close()
+            pytest.skip("the platform reports no per-socket drops")
+        process, info, metrics_path = start_daemon(tmp_path)
+        target = (info["ip"], info["port"])
+        answered: set[int] = set()
+        try:
+            client.sendto(query_wire(msg_id=STALL_QUERIES), target)
+            client.recvfrom(65535)  # warm: the rest are cache hits
+            process.send_signal(signal.SIGSTOP)
+            try:
+                for index in range(STALL_QUERIES):
+                    client.sendto(query_wire(msg_id=index), target)
+            finally:
+                process.send_signal(signal.SIGCONT)
+            client.settimeout(1.5)
+            try:
+                while True:
+                    payload, _ = client.recvfrom(65535)
+                    answered.add(int.from_bytes(payload[:2], "big"))
+            except socket.timeout:
+                pass
+            client_drops = kernel_drops(client)
+        finally:
+            client.close()
+            process.send_signal(signal.SIGTERM)
+            out, _ = process.communicate(timeout=SHUTDOWN_TIMEOUT)
+        assert process.returncode == 0, out
+        counters = json.loads(metrics_path.read_text())["counters"]
+        assert counters["udp.kernel_drops"] > 0  # the buffer overflowed
+        assert len(answered) + counters["udp.kernel_drops"] + client_drops + (
+            counters["udp.send_errors"]
+        ) == STALL_QUERIES

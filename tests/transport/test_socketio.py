@@ -6,7 +6,7 @@ import socket
 import pytest
 
 from repro.netsim.packet import Datagram
-from repro.transport.socketio import AsyncUdpTransport
+from repro.transport.socketio import SOCKET_RCVBUF, AsyncUdpTransport
 
 
 @pytest.fixture()
@@ -34,6 +34,28 @@ def run_loop_until(loop, predicate, timeout=2.0):
             await asyncio.sleep(0.01)
 
     loop.run_until_complete(waiter())
+
+
+def read_rmem_max() -> int | None:
+    try:
+        with open("/proc/sys/net/core/rmem_max") as handle:
+            return int(handle.read())
+    except (OSError, ValueError):
+        return None
+
+
+class TestReceiveBuffer:
+    @pytest.mark.skipif(
+        read_rmem_max() is None, reason="no net.core.rmem_max to compare"
+    )
+    def test_bound_socket_asks_for_a_large_receive_buffer(self, transport):
+        # A stalled daemon holds only what its receive buffer holds.
+        # Linux doubles the request and caps it at twice rmem_max.
+        listener = transport.bind("127.0.0.1", 0, lambda dg, net: None)
+        endpoint = listener.endpoint
+        sock = transport._sockets[(endpoint.ip, endpoint.port)]
+        granted = sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+        assert granted >= min(2 * SOCKET_RCVBUF, 2 * read_rmem_max())
 
 
 class TestBinding:
