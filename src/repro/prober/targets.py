@@ -36,7 +36,9 @@ class TargetScan:
         """The messages for ``targets[index]``, in send order."""
         raise NotImplementedError
 
-    def on_answer(self, target, source, response: DnsMessage, now) -> None:
+    def on_answer(
+        self, target: str, source: str, response: DnsMessage, now: float
+    ) -> None:
         """Read one decoded answer for ``target``, sent by ``source``."""
 
     def probe(self, targets: list[str], auth=None, zone=None) -> None:
@@ -46,7 +48,7 @@ class TargetScan:
         Answers that do not decode or belong to no target are dropped.
         """
         probed = set(targets)
-        owner: dict[str, str] = {}  # probe qname -> target
+        owner: dict[str, str] = {}  # probe qname -> target, by_qname only
 
         def handle(datagram: Datagram, network: Network) -> None:
             try:
@@ -68,7 +70,8 @@ class TargetScan:
         try:
             for index, target in enumerate(targets):
                 for query in self.queries(index, target):
-                    owner[query.qname] = target
+                    if self.by_qname:
+                        owner[query.qname] = target
                     network.send(
                         Datagram(ip, port, target, 53, encode_message(query))
                     )

@@ -238,35 +238,35 @@ class TestStalledDaemon:
         # Stop the daemon, send more queries than its socket can hold,
         # resume it: each query must be answered or counted as a drop,
         # by the daemon's kernel_drops or by the client's own socket.
-        client = make_client(timeout=5.0)
-        client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, SOCKET_RCVBUF)
-        if kernel_drops(client) is None:
-            client.close()
-            pytest.skip("the platform reports no per-socket drops")
-        process, info, metrics_path = start_daemon(tmp_path)
-        target = (info["ip"], info["port"])
-        answered: set[int] = set()
-        try:
-            client.sendto(query_wire(msg_id=STALL_QUERIES), target)
-            client.recvfrom(65535)  # warm: the rest are cache hits
-            process.send_signal(signal.SIGSTOP)
+        with make_client(timeout=5.0) as client:
+            client.setsockopt(
+                socket.SOL_SOCKET, socket.SO_RCVBUF, SOCKET_RCVBUF
+            )
+            if kernel_drops(client) is None:
+                pytest.skip("the platform reports no per-socket drops")
+            process, info, metrics_path = start_daemon(tmp_path)
+            target = (info["ip"], info["port"])
+            answered: set[int] = set()
             try:
-                for index in range(STALL_QUERIES):
-                    client.sendto(query_wire(msg_id=index), target)
+                client.sendto(query_wire(msg_id=STALL_QUERIES), target)
+                client.recvfrom(65535)  # warm: the rest are cache hits
+                process.send_signal(signal.SIGSTOP)
+                try:
+                    for index in range(STALL_QUERIES):
+                        client.sendto(query_wire(msg_id=index), target)
+                finally:
+                    process.send_signal(signal.SIGCONT)
+                client.settimeout(1.5)
+                try:
+                    while True:
+                        payload, _ = client.recvfrom(65535)
+                        answered.add(int.from_bytes(payload[:2], "big"))
+                except socket.timeout:
+                    pass
+                client_drops = kernel_drops(client)
             finally:
-                process.send_signal(signal.SIGCONT)
-            client.settimeout(1.5)
-            try:
-                while True:
-                    payload, _ = client.recvfrom(65535)
-                    answered.add(int.from_bytes(payload[:2], "big"))
-            except socket.timeout:
-                pass
-            client_drops = kernel_drops(client)
-        finally:
-            client.close()
-            process.send_signal(signal.SIGTERM)
-            out, _ = process.communicate(timeout=SHUTDOWN_TIMEOUT)
+                process.send_signal(signal.SIGTERM)
+                out, _ = process.communicate(timeout=SHUTDOWN_TIMEOUT)
         assert process.returncode == 0, out
         counters = json.loads(metrics_path.read_text())["counters"]
         assert counters["udp.kernel_drops"] > 0  # the buffer overflowed
